@@ -1,6 +1,5 @@
 #include "core/monitor.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -11,26 +10,24 @@
 
 namespace bbv::core {
 
-namespace {
-
-/// Reference-score invariant shared by monitor construction and hot-swap:
-/// a degenerate reference silently clamps relative_drop so alarms can never
-/// fire against it.
-common::Status ValidatePredictorReference(
-    const PerformancePredictor& predictor) {
-  const double reference = predictor.test_score();
-  if (!std::isfinite(reference) || reference <= 0.0) {
-    return common::Status::InvalidArgument(
-        "reference score must be finite and strictly positive, got " +
-        std::to_string(reference));
-  }
-  return common::Status::OK();
+ModelMonitor::Assessment ModelMonitor::Assess(const ScoreEstimate& estimate,
+                                              double reference_score,
+                                              const Options& options) {
+  Assessment assessment;
+  assessment.relative_drop =
+      (reference_score - estimate.point) / reference_score;
+  assessment.certified_drop =
+      (reference_score - estimate.hi) / reference_score;
+  const double alarm_drop =
+      options.alarm_policy == AlarmPolicy::kCertifiedDrop
+          ? assessment.certified_drop
+          : assessment.relative_drop;
+  assessment.alarm = alarm_drop >= options.alarm_threshold;
+  return assessment;
 }
 
-/// Shared validation for the factories and the CHECK-ing constructor;
-/// returns a non-OK status describing the first violated invariant.
-common::Status ValidateMonitorArguments(const PerformancePredictor& predictor,
-                                        const ModelMonitor::Options& options) {
+common::Status ModelMonitor::ValidateOptions(
+    const PerformancePredictor& predictor, const Options& options) {
   if (!predictor.trained()) {
     return common::Status::FailedPrecondition(
         "ModelMonitor needs a trained predictor");
@@ -51,10 +48,14 @@ common::Status ValidateMonitorArguments(const PerformancePredictor& predictor,
   }
   // A non-positive reference used to silently clamp relative_drop to 0,
   // so alarms could never fire against it; reject it up front instead.
-  return ValidatePredictorReference(predictor);
+  const double reference = predictor.test_score();
+  if (!std::isfinite(reference) || reference <= 0.0) {
+    return common::Status::InvalidArgument(
+        "reference score must be finite and strictly positive, got " +
+        std::to_string(reference));
+  }
+  return common::Status::OK();
 }
-
-}  // namespace
 
 common::Result<ModelMonitor> ModelMonitor::Create(
     const ml::BlackBox* model, PerformancePredictor predictor,
@@ -62,7 +63,7 @@ common::Result<ModelMonitor> ModelMonitor::Create(
   if (model == nullptr) {
     return common::Status::InvalidArgument("ModelMonitor needs a model");
   }
-  BBV_RETURN_NOT_OK(ValidateMonitorArguments(predictor, options));
+  BBV_RETURN_NOT_OK(ValidateOptions(predictor, options));
   return ModelMonitor(model, model->Name(),
                       std::make_shared<const PerformancePredictor>(
                           std::move(predictor)),
@@ -76,7 +77,7 @@ common::Result<ModelMonitor> ModelMonitor::CreateForProba(
     return common::Status::InvalidArgument(
         "CreateForProba needs a predictor");
   }
-  BBV_RETURN_NOT_OK(ValidateMonitorArguments(*predictor, options));
+  BBV_RETURN_NOT_OK(ValidateOptions(*predictor, options));
   return ModelMonitor(nullptr, std::move(name), std::move(predictor),
                       options);
 }
@@ -97,9 +98,13 @@ ModelMonitor::ModelMonitor(
       name_(std::move(name)),
       predictor_(std::move(predictor)),
       options_(options) {
-  const common::Status valid =
-      ValidateMonitorArguments(*predictor_, options_);
+  const common::Status valid = ValidateOptions(*predictor_, options_);
   BBV_CHECK(valid.ok()) << valid.ToString();
+  if (windowed()) {
+    stats::QuantileSketch::Options grid;
+    grid.resolution_bits = options_.sketch_resolution_bits;
+    window_.emplace(options_.window_batches, grid);
+  }
 }
 
 common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
@@ -129,7 +134,7 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
     return common::Status::InvalidArgument("empty serving batch");
   }
   if (windowed()) {
-    // The sketch ring treats non-finite input as a programming error; a
+    // The window treats non-finite input as a programming error; a
     // serving stream must degrade recoverably, so reject it up front.
     for (size_t i = 0; i < probabilities.rows(); ++i) {
       const double* row = probabilities.RowData(i);
@@ -156,61 +161,37 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
   report.estimate = estimate;
   report.reference_score = predictor_->test_score();
   // The constructor guarantees a finite, strictly positive reference.
-  report.relative_drop =
-      (report.reference_score - estimate.point) / report.reference_score;
-  report.certified_drop =
-      (report.reference_score - estimate.hi) / report.reference_score;
-  if (windowed()) {
-    // Sketch this batch, merge it with the most recent window_batches - 1
-    // retained banks, and alarm on the estimate over that merged summary —
-    // recent traffic, not all-time aggregates. The ring is only committed
-    // once the windowed estimate is known to be sound, so a failed batch
-    // never pollutes the window.
-    stats::QuantileSketch::Options sketch_options;
-    sketch_options.resolution_bits = options_.sketch_resolution_bits;
-    stats::QuantileSketchBank batch_bank(0, sketch_options);
-    BBV_RETURN_NOT_OK(batch_bank.Observe(probabilities));
-    stats::QuantileSketchBank merged = batch_bank;
-    const size_t prior =
-        std::min(window_.size(), options_.window_batches - 1);
-    for (size_t i = window_.size() - prior; i < window_.size(); ++i) {
-      BBV_RETURN_NOT_OK(merged.Merge(window_[i]));
-    }
-    const std::vector<double> window_features =
-        merged.PercentileFeatures(predictor_->percentile_points());
+  const Assessment batch = Assess(estimate, report.reference_score, options_);
+  report.relative_drop = batch.relative_drop;
+  report.certified_drop = batch.certified_drop;
+  report.alarm = batch.alarm;
+  if (window_.has_value()) {
+    // Slide the window over this batch and alarm on the estimate over it —
+    // recent traffic, not all-time aggregates. A batch whose windowed
+    // estimate fails is undone, so it never pollutes the window.
     BBV_ASSIGN_OR_RETURN(
-        ScoreEstimate windowed_estimate,
-        predictor_->EstimateScoreFromStatistics(window_features));
-    if (!std::isfinite(windowed_estimate.point)) {
+        stats::CellBatch evicted,
+        window_->Push(stats::CellBatch::Of(probabilities,
+                                           window_->bank().options())));
+    const common::Result<ScoreEstimate> window_estimate =
+        predictor_->EstimateScoreFromStatistics(
+            window_->bank().PercentileFeatures(
+                predictor_->percentile_points()));
+    if (!window_estimate.ok() || !std::isfinite(window_estimate->point)) {
+      window_->Undo(std::move(evicted));
+      if (!window_estimate.ok()) return window_estimate.status();
       common::telemetry::IncrementCounter("monitor.nonfinite_estimates");
       return common::Status::Internal(
           "performance predictor produced a non-finite windowed estimate");
     }
-    report.windowed_estimate = windowed_estimate;
-    report.windowed_relative_drop =
-        (report.reference_score - windowed_estimate.point) /
-        report.reference_score;
-    report.windowed_certified_drop =
-        (report.reference_score - windowed_estimate.hi) /
-        report.reference_score;
-    report.window_batches_used = prior + 1;
-    report.window_rows = merged.rows_observed();
-    const double windowed_alarm_drop =
-        options_.alarm_policy == AlarmPolicy::kCertifiedDrop
-            ? report.windowed_certified_drop
-            : report.windowed_relative_drop;
-    report.alarm = windowed_alarm_drop >= options_.alarm_threshold;
-    window_.push_back(std::move(batch_bank));
-    while (window_.size() > options_.window_batches) {
-      window_.pop_front();
-      common::telemetry::IncrementCounter("monitor.window_evictions");
-    }
-  } else {
-    const double alarm_drop =
-        options_.alarm_policy == AlarmPolicy::kCertifiedDrop
-            ? report.certified_drop
-            : report.relative_drop;
-    report.alarm = alarm_drop >= options_.alarm_threshold;
+    const Assessment window_drops =
+        Assess(*window_estimate, report.reference_score, options_);
+    report.windowed_estimate = *window_estimate;
+    report.windowed_relative_drop = window_drops.relative_drop;
+    report.windowed_certified_drop = window_drops.certified_drop;
+    report.window_batches_used = window_->batches();
+    report.window_rows = window_->bank().rows_observed();
+    report.alarm = window_drops.alarm;
   }
   report.batch_id = batches_observed_++;
   if (report.alarm) {
@@ -225,27 +206,22 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
       common::telemetry::ReadCounter("predictor.estimate.calls");
   report.latency_seconds = span.ElapsedSeconds();
   history_.push_back(report);
-  if (history_.size() > options_.history_limit) {
-    history_.erase(history_.begin(),
-                   history_.begin() + static_cast<ptrdiff_t>(
-                                          history_.size() -
-                                          options_.history_limit));
-  }
+  while (history_.size() > options_.history_limit) history_.pop_front();
   return report;
 }
 
 common::Status ModelMonitor::SwapPredictor(
     std::shared_ptr<const PerformancePredictor> predictor) {
-  if (predictor == nullptr || !predictor->trained()) {
+  if (predictor == nullptr) {
     return common::Status::FailedPrecondition(
         "SwapPredictor needs a trained performance predictor");
   }
-  BBV_RETURN_NOT_OK(ValidatePredictorReference(*predictor));
+  BBV_RETURN_NOT_OK(ValidateOptions(*predictor, options_));
   // Epoch boundary: the retained window sketches were served under the old
   // predictor's reference score; scoring them with the new predictor would
   // alarm against a reference they never ran under. Drop them so the first
   // post-swap report windows over exactly the batches of the new epoch.
-  window_.clear();
+  ClearWindow();
   predictor_ = std::move(predictor);
   ++epoch_;
   common::telemetry::IncrementCounter("monitor.predictor_swaps");

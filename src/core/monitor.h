@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,15 +53,15 @@ class ModelMonitor {
     AlarmPolicy alarm_policy = AlarmPolicy::kCertifiedDrop;
     /// Maximum batch reports retained (older entries are dropped).
     size_t history_limit = 1000;
-    /// Sliding-window mode: when positive, the monitor keeps a ring of the
-    /// last `window_batches` mini-batches as per-class quantile sketches,
-    /// merges them on demand, and alarms on the *windowed* estimate — so
-    /// alarms reflect recent traffic instead of all-time aggregates, in
-    /// O(window * num_classes * 2^sketch_resolution_bits) memory. 0 keeps
-    /// the classic per-batch behavior.
+    /// Sliding-window mode: when positive, the monitor keeps a running
+    /// per-class quantile sketch of the last `window_batches` mini-batches
+    /// (stats::QuantileSketchWindow) and alarms on the *windowed* estimate
+    /// — so alarms reflect recent traffic instead of all-time aggregates, in
+    /// O(num_classes * 2^sketch_resolution_bits + window * rows *
+    /// num_classes) memory. 0 keeps the classic per-batch behavior.
     size_t window_batches = 0;
-    /// Sketch resolution for the window ring (see
-    /// stats::QuantileSketch::Options); only used when window_batches > 0.
+    /// Sketch resolution of the window (see stats::QuantileSketch::Options);
+    /// only used when window_batches > 0.
     int sketch_resolution_bits = 12;
   };
 
@@ -104,10 +105,25 @@ class ModelMonitor {
     uint64_t window_rows = 0;
     /// Predictor epoch this batch was scored under: 0 for the predictor the
     /// monitor was created with, incremented by every SwapPredictor. In
-    /// windowed mode a swap also clears the window ring, so all
+    /// windowed mode a swap also clears the window, so all
     /// window_batches_used batches of a report belong to the same epoch.
     uint64_t epoch = 0;
   };
+
+  /// The monitor's one alarm rule, shared by the per-batch and windowed
+  /// estimates and the service's windowed path: the drops of `estimate`
+  /// (as in BatchReport) and whether the policy's drop reaches the threshold.
+  struct Assessment {
+    double relative_drop = 0.0;
+    double certified_drop = 0.0;
+    bool alarm = false;
+  };
+  static Assessment Assess(const ScoreEstimate& estimate,
+                           double reference_score, const Options& options);
+
+  /// The predictor and options checks of every factory (see Create).
+  static common::Status ValidateOptions(const PerformancePredictor& predictor,
+                                        const Options& options);
 
   /// Validating factory: rejects a null model, an untrained predictor, an
   /// alarm threshold outside (0, 1), a zero history limit, and — the
@@ -143,15 +159,15 @@ class ModelMonitor {
   /// report to the history. The frame overload runs the attached black box
   /// first (unavailable on proba-only monitors); the probability overload
   /// takes precomputed model outputs. Both reject empty batches and
-  /// non-finite estimates (neither pollutes the history), and both return
-  /// the report — callers must consume it (or at minimum its Status; the
-  /// status-discard lint flags drops). The former ObserveFromProba name is
-  /// folded into this overload set.
+  /// non-finite estimates (neither pollutes the history or the window), and
+  /// both return the report — callers must consume it (or at minimum its
+  /// Status; the status-discard lint flags drops). The former
+  /// ObserveFromProba name is folded into this overload set.
   common::Result<BatchReport> Observe(const data::DataFrame& serving);
   common::Result<BatchReport> Observe(const linalg::Matrix& probabilities);
 
   /// Deploys a retrained predictor (tenant hot-swap). This is an *epoch
-  /// boundary*: the windowed ring is cleared, because its sketches were
+  /// boundary*: the window is cleared, because its sketches were
   /// scored under the old predictor's reference — mixing them into a window
   /// estimated by the new predictor would alarm (or fail to alarm) against
   /// a reference the batches were never served under. The first report
@@ -165,7 +181,7 @@ class ModelMonitor {
   /// Epoch boundaries crossed so far (== accepted SwapPredictor calls).
   uint64_t epoch() const { return epoch_; }
 
-  const std::vector<BatchReport>& history() const { return history_; }
+  const std::deque<BatchReport>& history() const { return history_; }
   size_t batches_observed() const { return batches_observed_; }
   size_t alarms_raised() const { return alarms_raised_; }
   /// Fraction of observed batches that alarmed; 0 before any observation.
@@ -183,11 +199,13 @@ class ModelMonitor {
   /// True when the monitor alarms on windowed estimates.
   bool windowed() const { return options_.window_batches > 0; }
 
-  /// Drops the windowed ring without observing anything — the same epoch
+  /// Drops the window without observing anything — the same epoch
   /// boundary SwapPredictor enforces, for callers that invalidate the
   /// window by other means (e.g. the tenant registry evicting a cold
   /// tenant and rehydrating it later). No-op in classic mode.
-  void ClearWindow() { window_.clear(); }
+  void ClearWindow() {
+    if (window_.has_value()) window_->Clear();
+  }
 
  private:
   ModelMonitor(const ml::BlackBox* model, std::string name,
@@ -200,10 +218,10 @@ class ModelMonitor {
   std::string name_;
   std::shared_ptr<const PerformancePredictor> predictor_;
   Options options_;
-  std::vector<BatchReport> history_;
-  /// Ring of per-batch sketch banks, newest at the back; bounded by
-  /// options_.window_batches. Empty in classic mode.
-  std::deque<stats::QuantileSketchBank> window_;
+  /// Retained reports, oldest first; a deque so the trim is O(1).
+  std::deque<BatchReport> history_;
+  /// The last options_.window_batches batches; nullopt in classic mode.
+  std::optional<stats::QuantileSketchWindow> window_;
   size_t batches_observed_ = 0;
   size_t alarms_raised_ = 0;
   uint64_t epoch_ = 0;

@@ -44,7 +44,8 @@ StreamingScorer::StreamingScorer(
   bank_ = stats::QuantileSketchBank(0, sketch_options);
 }
 
-common::Status StreamingScorer::Ingest(const linalg::Matrix& probabilities) {
+common::Status StreamingScorer::Ingest(const linalg::Matrix& probabilities,
+                                       stats::CellBatch* cells) {
   const common::telemetry::TraceSpan span("serve.ingest");
   if (probabilities.rows() == 0) {
     return common::Status::InvalidArgument("empty serving mini-batch");
@@ -68,7 +69,7 @@ common::Status StreamingScorer::Ingest(const linalg::Matrix& probabilities) {
       }
     }
   }
-  BBV_RETURN_NOT_OK(bank_.Observe(probabilities));
+  BBV_RETURN_NOT_OK(bank_.Observe(probabilities, cells));
   ++batches_ingested_;
   common::telemetry::IncrementCounter("serve.batches");
   common::telemetry::IncrementCounter("serve.rows", probabilities.rows());

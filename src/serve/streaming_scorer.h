@@ -63,8 +63,11 @@ class StreamingScorer {
   /// Folds one mini-batch of predicted class probabilities into the
   /// per-class sketches. Rejects empty batches, batches whose class count
   /// disagrees with earlier batches or with the predictor's trained feature
-  /// dimension, and non-finite probabilities. Rows are not retained.
-  common::Status Ingest(const linalg::Matrix& probabilities);
+  /// dimension, and non-finite probabilities. Rows are not retained. When
+  /// `cells` is non-null it receives the batch's grid cells from the same
+  /// pass (what a stats::QuantileSketchWindow on this grid takes).
+  common::Status Ingest(const linalg::Matrix& probabilities,
+                        stats::CellBatch* cells = nullptr);
 
   /// Runs the model on `serving` and ingests the resulting probabilities.
   common::Status IngestFrame(const ml::BlackBox& model,

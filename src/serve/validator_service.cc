@@ -1,6 +1,7 @@
 #include "serve/validator_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <sstream>
 #include <string>
@@ -13,6 +14,22 @@
 
 namespace bbv::serve {
 
+namespace {
+
+/// The standalone monitor a monitored tenant behaves like.
+core::ModelMonitor::Options MonitorOptions(
+    const ValidatorService::TenantOptions& options) {
+  core::ModelMonitor::Options monitor_options;
+  monitor_options.alarm_threshold = options.alarm_threshold;
+  monitor_options.alarm_policy = options.alarm_policy;
+  monitor_options.history_limit = options.history_limit;
+  monitor_options.window_batches = options.window_batches;
+  monitor_options.sketch_resolution_bits = options.monitor_resolution_bits;
+  return monitor_options;
+}
+
+}  // namespace
+
 common::Status ValidatorService::CreateTenant(
     const std::string& model_id,
     std::shared_ptr<const core::PerformancePredictor> predictor,
@@ -24,17 +41,16 @@ common::Status ValidatorService::CreateTenant(
   // carry all the validation (trained predictor, sane resolutions, ...).
   BBV_ASSIGN_OR_RETURN(StreamingScorer scorer,
                        StreamingScorer::Create(predictor, options.scorer));
-  std::optional<core::ModelMonitor> monitor;
+  std::optional<stats::QuantileSketchWindow> window;
   if (options.window_batches > 0) {
-    core::ModelMonitor::Options monitor_options;
-    monitor_options.alarm_threshold = options.alarm_threshold;
-    monitor_options.alarm_policy = options.alarm_policy;
-    monitor_options.history_limit = options.history_limit;
-    monitor_options.window_batches = options.window_batches;
-    monitor_options.sketch_resolution_bits = options.monitor_resolution_bits;
-    BBV_ASSIGN_OR_RETURN(monitor,
-                         core::ModelMonitor::CreateForProba(
-                             model_id, predictor, monitor_options));
+    if (options.monitor_resolution_bits != options.scorer.resolution_bits) {
+      return common::Status::InvalidArgument(
+          "monitor_resolution_bits must equal scorer.resolution_bits: the "
+          "window reuses the scorer's grid cells");
+    }
+    BBV_RETURN_NOT_OK(core::ModelMonitor::ValidateOptions(
+        *predictor, MonitorOptions(options)));
+    window.emplace(options.window_batches, scorer.bank().options());
   }
   const common::MutexLock lock(mutex_);
   if (tenants_.find(model_id) != tenants_.end()) {
@@ -45,7 +61,7 @@ common::Status ValidatorService::CreateTenant(
   tenant.predictor = std::move(predictor);
   tenant.options = options;
   tenant.scorer.emplace(std::move(scorer));
-  tenant.monitor = std::move(monitor);
+  tenant.window = std::move(window);
   tenant.last_touch = ++touch_clock_;
   common::telemetry::IncrementCounter("serve.service.tenants_created");
   EnforceResidencyCap();
@@ -93,18 +109,16 @@ common::Status ValidatorService::ApplySwap(
     Tenant& tenant,
     std::shared_ptr<const core::PerformancePredictor> predictor) {
   BBV_CHECK(tenant.scorer.has_value()) << "swap on a non-resident tenant";
-  const std::shared_ptr<const core::PerformancePredictor> previous =
-      tenant.scorer->shared_predictor();
+  if (tenant.window.has_value() && predictor != nullptr) {
+    // A monitored tenant's predictor must also pass the monitor's checks
+    // (finite, strictly positive reference score).
+    BBV_RETURN_NOT_OK(core::ModelMonitor::ValidateOptions(
+        *predictor, MonitorOptions(tenant.options)));
+  }
   BBV_RETURN_NOT_OK(tenant.scorer->SwapPredictor(predictor));
-  if (tenant.monitor.has_value()) {
-    const common::Status monitor_swap =
-        tenant.monitor->SwapPredictor(predictor);
-    if (!monitor_swap.ok()) {
-      // Keep scorer and monitor on the same predictor: roll the scorer
-      // back (same class count, so this cannot fail) and reject the swap.
-      BBV_CHECK(tenant.scorer->SwapPredictor(previous).ok());
-      return monitor_swap;
-    }
+  if (tenant.window.has_value()) {
+    // Epoch boundary (see ModelMonitor::SwapPredictor).
+    tenant.window->Clear();
   }
   tenant.predictor = std::move(predictor);
   ++tenant.epoch;
@@ -116,11 +130,18 @@ void ValidatorService::ProcessTenantOps(
     Tenant& tenant, const std::vector<PendingOp>& ops,
     const std::vector<size_t>& op_indices,
     std::vector<ScoreResponse>& responses) {
-  // Indices into op_indices whose ingest succeeded but whose estimate is
-  // still pending, plus their post-ingest percentile feature rows. One
-  // kernel batch call scores the whole run when the segment closes (at a
+  const core::ModelMonitor::Options monitor_options =
+      MonitorOptions(tenant.options);
+  // Feature rows whose estimate is still pending: each scored request's
+  // post-ingest cumulative row and, for a monitored tenant, its windowed row.
+  // One kernel batch call scores them all when the segment closes (at a
   // hot-swap or at the end of the tenant's queue).
-  std::vector<size_t> run;
+  struct PendingRow {
+    /// Index into op_indices of the request the row belongs to.
+    size_t position = 0;
+    bool windowed = false;
+  };
+  std::vector<PendingRow> run;
   std::vector<std::vector<double>> run_features;
   const auto close_segment = [&]() {
     if (run.empty()) return;
@@ -133,19 +154,40 @@ void ValidatorService::ProcessTenantOps(
     }
     std::vector<core::ScoreEstimate> estimates(run.size());
     // The coalesced path: one ForestKernel batch call for the whole run,
-    // bit-identical per row (point and interval) to
-    // StreamingScorer::EstimateScore.
+    // bit-identical per row (point and interval) to the scalar
+    // EstimateScoreFromStatistics behind StreamingScorer::EstimateScore and
+    // ModelMonitor::Observe.
     const common::Status scored = tenant.predictor->EstimateScoresFromStatistics(
         statistics, std::span<core::ScoreEstimate>(estimates));
     for (size_t i = 0; i < run.size(); ++i) {
-      ScoreResponse& response = responses[op_indices[run[i]]];
-      if (scored.ok()) {
-        response.estimate = estimates[i];
-      } else {
-        response.status = scored;
+      ScoreResponse& response = responses[op_indices[run[i].position]];
+      if (!run[i].windowed) {
+        if (scored.ok()) {
+          response.estimate = estimates[i];
+        } else {
+          response.status = scored;
+        }
+        continue;
+      }
+      // A failed or non-finite windowed estimate raises no alarm and leaves
+      // the windowed fields unset; the cumulative estimate is still
+      // delivered. Unlike a standalone monitor, the batch stays in the
+      // window (later requests of the segment already slid past it); only a
+      // predictor with non-finite leaves can get here.
+      if (!scored.ok() || !std::isfinite(estimates[i].point)) continue;
+      const core::ModelMonitor::Assessment drops = core::ModelMonitor::Assess(
+          estimates[i], tenant.predictor->test_score(), monitor_options);
+      response.alarm = drops.alarm;
+      response.windowed_estimate = estimates[i];
+      response.windowed_relative_drop = drops.relative_drop;
+      response.windowed_certified_drop = drops.certified_drop;
+      if (drops.alarm) {
+        ++tenant.monitor_alarms;
+        common::telemetry::IncrementCounter("serve.service.windowed_alarms");
       }
     }
     common::telemetry::IncrementCounter("serve.service.kernel_batches");
+    // Kernel rows, so a monitored request counts twice.
     common::telemetry::IncrementCounter("serve.service.coalesced_requests",
                                         run.size());
     run.clear();
@@ -163,7 +205,9 @@ void ValidatorService::ProcessTenantOps(
       response.epoch = tenant.epoch;
       continue;
     }
-    const common::Status ingested = tenant.scorer->Ingest(op.probabilities);
+    stats::CellBatch cells;
+    const common::Status ingested = tenant.scorer->Ingest(
+        op.probabilities, tenant.window.has_value() ? &cells : nullptr);
     if (!ingested.ok()) {
       common::telemetry::IncrementCounter("serve.service.request_errors");
       response.status = ingested;
@@ -177,21 +221,17 @@ void ValidatorService::ProcessTenantOps(
       response.status = features.status();
       continue;
     }
-    run.push_back(position);
+    run.push_back({position, false});
     run_features.push_back(*features);
-    if (tenant.monitor.has_value()) {
-      response.monitored = true;
-      const common::Result<core::ModelMonitor::BatchReport> report =
-          tenant.monitor->Observe(op.probabilities);
-      if (report.ok()) {
-        response.alarm = report->alarm;
-        response.windowed_estimate = report->windowed_estimate;
-        response.windowed_relative_drop = report->windowed_relative_drop;
-        response.windowed_certified_drop = report->windowed_certified_drop;
-      }
-      // A monitor failure is not a scoring failure: the estimate is still
-      // delivered, the window just skips the batch (same contract as a
-      // standalone ModelMonitor rejecting a batch).
+    if (!tenant.window.has_value()) continue;
+    response.monitored = true;
+    // The window takes the cells the ingest just mapped. A window failure
+    // is not a scoring failure: the estimate is still delivered and the
+    // window skips the batch (as a standalone ModelMonitor rejecting it).
+    if (tenant.window->Push(std::move(cells)).ok()) {
+      run.push_back({position, true});
+      run_features.push_back(tenant.window->bank().PercentileFeatures(
+          tenant.predictor->percentile_points()));
     }
   }
   close_segment();
@@ -323,10 +363,8 @@ common::Result<ValidatorService::TenantInfo> ValidatorService::GetTenantInfo(
   TenantInfo info;
   info.epoch = tenant.epoch;
   info.resident = tenant.scorer.has_value();
-  info.monitored = tenant.monitor.has_value();
-  if (tenant.monitor.has_value()) {
-    info.monitor_alarms = tenant.monitor->alarms_raised();
-  }
+  info.monitored = tenant.window.has_value();
+  info.monitor_alarms = tenant.monitor_alarms;
   if (tenant.scorer.has_value()) {
     info.rows_ingested = tenant.scorer->rows_ingested();
   } else {
@@ -399,10 +437,10 @@ void ValidatorService::EnforceResidencyCap() {
     tenant.cold_rows = tenant.scorer->rows_ingested();
     tenant.cold_state = std::move(out).str();
     tenant.scorer.reset();
-    if (tenant.monitor.has_value()) {
+    if (tenant.window.has_value()) {
       // Epoch-boundary contract: a window must not straddle an eviction
-      // (rehydration restores sketch state, not the monitor ring).
-      tenant.monitor->ClearWindow();
+      // (rehydration restores sketch state, not the window).
+      tenant.window->Clear();
     }
     common::telemetry::IncrementCounter("serve.service.evictions");
   }

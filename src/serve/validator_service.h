@@ -19,6 +19,7 @@
 #include "core/score_estimate.h"
 #include "linalg/matrix.h"
 #include "serve/streaming_scorer.h"
+#include "stats/quantile_sketch.h"
 
 namespace bbv::serve {
 
@@ -49,6 +50,15 @@ namespace bbv::serve {
 ///    must not straddle predictors), and stamps subsequent responses with
 ///    the new epoch.
 ///
+///  * One sketch pass per monitored request. A monitored tenant keeps a
+///    running stats::QuantileSketchWindow over its last window_batches
+///    requests. Ingest maps each probability to its grid cell once; the
+///    cells feed both the cumulative bank and the window, and the
+///    request's windowed feature row joins its cumulative row in the
+///    segment's one kernel call. The alarm comes from
+///    core::ModelMonitor::Assess, so windowed responses are bit-identical
+///    to a standalone ModelMonitor::CreateForProba fed the same stream.
+///
 ///  * LRU eviction of cold tenants. With Options::max_resident_tenants set,
 ///    the least recently used tenants' sketch banks are serialized via
 ///    StreamingScorer::SaveState into an in-memory cold store and the
@@ -71,9 +81,10 @@ class ValidatorService {
   struct TenantOptions {
     /// Sketch resolution etc. for the tenant's StreamingScorer.
     StreamingScorer::Options scorer;
-    /// When positive, the tenant gets a windowed ModelMonitor over the last
-    /// `window_batches` mini-batches and every response carries the
-    /// windowed alarm fields. 0 disables monitoring for the tenant.
+    /// When positive, the tenant is monitored like a windowed
+    /// core::ModelMonitor over the last `window_batches` mini-batches and
+    /// every response carries the windowed alarm fields. 0 disables
+    /// monitoring for the tenant.
     size_t window_batches = 0;
     /// Relative windowed drop that raises an alarm (see ModelMonitor).
     double alarm_threshold = 0.05;
@@ -81,9 +92,14 @@ class ValidatorService {
     /// the drop or just the point estimate (see core::AlarmPolicy).
     core::ModelMonitor::AlarmPolicy alarm_policy =
         core::ModelMonitor::AlarmPolicy::kCertifiedDrop;
-    /// Sketch resolution of the monitor's window ring.
+    /// Sketch resolution of the monitor's window. The window reuses the
+    /// grid cells the scorer maps each request to, so a monitored tenant
+    /// must set this equal to scorer.resolution_bits (CreateTenant rejects
+    /// a mismatch with InvalidArgument).
     int monitor_resolution_bits = 12;
-    /// Batch reports the monitor retains.
+    /// Validated like core::ModelMonitor::Options::history_limit. The
+    /// service keeps no per-batch reports; responses carry the windowed
+    /// fields instead.
     size_t history_limit = 1000;
   };
 
@@ -113,7 +129,9 @@ class ValidatorService {
     /// Tenant predictor epoch the request was scored under.
     uint64_t epoch = 0;
     /// Windowed monitor fields; meaningful only when the tenant was
-    /// created with window_batches > 0 (monitored == true).
+    /// created with window_batches > 0 (monitored == true). Bit-identical
+    /// to the BatchReport of a standalone ModelMonitor::CreateForProba fed
+    /// the same stream, swaps and evictions (as ClearWindow calls).
     bool monitored = false;
     bool alarm = false;
     core::ScoreEstimate windowed_estimate;
@@ -205,7 +223,10 @@ class ValidatorService {
     /// rows_ingested() at eviction time, so GetTenantInfo need not parse
     /// the cold bytes.
     uint64_t cold_rows = 0;
-    std::optional<core::ModelMonitor> monitor;
+    /// The last options.window_batches requests; nullopt when unmonitored.
+    std::optional<stats::QuantileSketchWindow> window;
+    /// Windowed alarms raised so far.
+    uint64_t monitor_alarms = 0;
     uint64_t epoch = 0;
     /// LRU clock stamp of the last use.
     uint64_t last_touch = 0;
@@ -228,12 +249,13 @@ class ValidatorService {
   /// residency cap holds.
   void EnforceResidencyCap() BBV_REQUIRES(mutex_);
   /// Scores `ops` (all for `tenant`, in submission order) into `responses`;
-  /// contiguous scoring runs share one kernel batch call.
+  /// contiguous scoring runs share one kernel batch call, which also scores
+  /// the windowed rows of a monitored tenant.
   static void ProcessTenantOps(Tenant& tenant,
                                const std::vector<PendingOp>& ops,
                                const std::vector<size_t>& op_indices,
                                std::vector<ScoreResponse>& responses);
-  /// Applies one hot-swap to scorer + monitor + tenant epoch.
+  /// Applies one hot-swap to scorer + window + tenant epoch.
   static common::Status ApplySwap(
       Tenant& tenant,
       std::shared_ptr<const core::PerformancePredictor> predictor);

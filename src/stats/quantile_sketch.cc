@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -39,14 +40,13 @@ QuantileSketch::QuantileSketch(Options options) : options_(options) {
   cells_.assign((size_t{1} << options_.resolution_bits) + 1, 0);
 }
 
-size_t QuantileSketch::CellIndex(double value) const {
-  const double clamped = std::clamp(value, options_.lo, options_.hi);
-  const double unit =
-      (clamped - options_.lo) / (options_.hi - options_.lo);
-  const double scaled =
-      unit * static_cast<double>(size_t{1} << options_.resolution_bits);
+size_t QuantileSketch::CellIndex(double value, const Options& options) {
+  const double clamped = std::clamp(value, options.lo, options.hi);
+  const double unit = (clamped - options.lo) / (options.hi - options.lo);
+  const size_t last = size_t{1} << options.resolution_bits;
+  const double scaled = unit * static_cast<double>(last);
   const size_t index = static_cast<size_t>(std::llround(scaled));
-  return std::min(index, cells_.size() - 1);
+  return std::min(index, last);
 }
 
 double QuantileSketch::CellValue(size_t index) const {
@@ -56,11 +56,41 @@ double QuantileSketch::CellValue(size_t index) const {
   return options_.lo + unit * (options_.hi - options_.lo);
 }
 
-void QuantileSketch::Add(double value, uint64_t weight) {
+size_t QuantileSketch::Add(double value, uint64_t weight) {
   BBV_CHECK(std::isfinite(value)) << "QuantileSketch::Add of NaN/Inf";
-  if (weight == 0) return;
-  cells_[CellIndex(value)] += weight;
+  const size_t cell = CellIndex(value, options_);
+  cells_[cell] += weight;
   count_ += weight;
+  return cell;
+}
+
+common::Status QuantileSketch::AddCells(std::span<const uint32_t> cells) {
+  for (const uint32_t cell : cells) {
+    if (cell >= cells_.size()) {
+      return common::Status::InvalidArgument("cell index off the grid");
+    }
+  }
+  for (const uint32_t cell : cells) ++cells_[cell];
+  count_ += cells.size();
+  return common::Status::OK();
+}
+
+common::Status QuantileSketch::RemoveCells(std::span<const uint32_t> cells) {
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const uint32_t cell = cells[i];
+    if (cell < cells_.size() && cells_[cell] > 0) {
+      --cells_[cell];
+      continue;
+    }
+    // Put back what this call already took so a rejection leaves the
+    // sketch unchanged.
+    for (size_t j = 0; j < i; ++j) ++cells_[cells[j]];
+    return common::Status::InvalidArgument(
+        cell < cells_.size() ? "removing more than a sketch cell holds"
+                             : "cell index off the grid");
+  }
+  count_ -= cells.size();
+  return common::Status::OK();
 }
 
 common::Status QuantileSketch::Merge(const QuantileSketch& other) {
@@ -142,7 +172,7 @@ std::vector<double> QuantileSketch::Quantiles(
 double QuantileSketch::Cdf(double x) const {
   BBV_CHECK(count_ > 0) << "Cdf of an empty sketch";
   if (x < options_.lo) return 0.0;
-  const size_t limit = std::min(CellIndex(x), cells_.size() - 1);
+  const size_t limit = CellIndex(x, options_);
   uint64_t below = 0;
   for (size_t cell = 0; cell <= limit; ++cell) {
     // Mass at grid point `cell` has quantized value CellValue(cell) <= the
@@ -259,7 +289,25 @@ QuantileSketchBank::QuantileSketchBank(size_t num_columns,
   }
 }
 
-common::Status QuantileSketchBank::Observe(const linalg::Matrix& values) {
+CellBatch CellBatch::Of(const linalg::Matrix& values,
+                        const QuantileSketch::Options& grid) {
+  CellBatch batch;
+  batch.grid = grid;
+  batch.columns = values.cols();
+  batch.cells.resize(values.rows() * values.cols());
+  for (size_t k = 0; k < values.cols(); ++k) {
+    uint32_t* column = batch.cells.data() + k * values.rows();
+    for (size_t i = 0; i < values.rows(); ++i) {
+      const double value = values.At(i, k);
+      BBV_CHECK(std::isfinite(value)) << "CellBatch::Of of NaN/Inf";
+      column[i] = static_cast<uint32_t>(QuantileSketch::CellIndex(value, grid));
+    }
+  }
+  return batch;
+}
+
+common::Status QuantileSketchBank::Observe(const linalg::Matrix& values,
+                                           CellBatch* cells) {
   const common::telemetry::TraceSpan span("sketch_bank.observe");
   if (values.rows() == 0) {
     return common::Status::InvalidArgument(
@@ -276,13 +324,25 @@ common::Status QuantileSketchBank::Observe(const linalg::Matrix& values) {
         "batch has " + std::to_string(values.cols()) +
         " columns but the bank tracks " + std::to_string(sketches_.size()));
   }
-  // Column sketches are independent: each task touches only its own sketch,
-  // so results are bit-identical at every thread count.
+  const size_t rows = values.rows();
+  if (cells != nullptr) {
+    cells->grid = options_;
+    cells->columns = sketches_.size();
+    cells->cells.resize(rows * sketches_.size());
+  }
+  // Column sketches are independent: each task touches only its own sketch
+  // (and its own slice of `cells`), so results are bit-identical at every
+  // thread count.
   BBV_RETURN_NOT_OK(common::ParallelFor(
       sketches_.size(), [&](size_t k) -> common::Status {
         QuantileSketch& sketch = sketches_[k];
-        for (size_t i = 0; i < values.rows(); ++i) {
-          sketch.Add(values.At(i, k));
+        if (cells == nullptr) {
+          for (size_t i = 0; i < rows; ++i) sketch.Add(values.At(i, k));
+          return common::Status::OK();
+        }
+        uint32_t* column = cells->cells.data() + k * rows;
+        for (size_t i = 0; i < rows; ++i) {
+          column[i] = static_cast<uint32_t>(sketch.Add(values.At(i, k)));
         }
         return common::Status::OK();
       }));
@@ -305,6 +365,72 @@ common::Status QuantileSketchBank::Merge(const QuantileSketchBank& other) {
     BBV_RETURN_NOT_OK(sketches_[k].Merge(other.sketches_[k]));
   }
   rows_observed_ += other.rows_observed_;
+  return common::Status::OK();
+}
+
+namespace {
+
+/// Shape checks shared by AddCells and RemoveCells.
+common::Status ValidateCellBatch(const CellBatch& batch,
+                                 const QuantileSketch::Options& grid,
+                                 size_t columns) {
+  if (!GridsMatch(batch.grid, grid)) {
+    return common::Status::InvalidArgument(
+        "cell batch was mapped on a different grid than the bank's");
+  }
+  if (batch.columns == 0 || batch.cells.size() % batch.columns != 0) {
+    return common::Status::InvalidArgument("malformed cell batch");
+  }
+  if (columns != 0 && batch.columns != columns) {
+    return common::Status::InvalidArgument(
+        "cell batch has " + std::to_string(batch.columns) +
+        " columns but the bank tracks " + std::to_string(columns));
+  }
+  return common::Status::OK();
+}
+
+std::span<const uint32_t> ColumnCells(const CellBatch& batch, size_t k) {
+  return std::span<const uint32_t>(batch.cells)
+      .subspan(k * batch.rows(), batch.rows());
+}
+
+}  // namespace
+
+common::Status QuantileSketchBank::AddCells(const CellBatch& batch) {
+  BBV_RETURN_NOT_OK(ValidateCellBatch(batch, options_, sketches_.size()));
+  const bool adopt = sketches_.empty();
+  if (adopt) sketches_.assign(batch.columns, QuantileSketch(options_));
+  for (size_t k = 0; k < batch.columns; ++k) {
+    const common::Status added = sketches_[k].AddCells(ColumnCells(batch, k));
+    if (!added.ok()) {
+      for (size_t j = 0; j < k; ++j) {
+        BBV_CHECK(sketches_[j].RemoveCells(ColumnCells(batch, j)).ok());
+      }
+      if (adopt) sketches_.clear();
+      return added;
+    }
+  }
+  rows_observed_ += batch.rows();
+  return common::Status::OK();
+}
+
+common::Status QuantileSketchBank::RemoveCells(const CellBatch& batch) {
+  BBV_RETURN_NOT_OK(ValidateCellBatch(batch, options_, sketches_.size()));
+  if (sketches_.empty() || batch.rows() > rows_observed_) {
+    return common::Status::InvalidArgument(
+        "removing more rows than the bank holds");
+  }
+  for (size_t k = 0; k < batch.columns; ++k) {
+    const common::Status removed =
+        sketches_[k].RemoveCells(ColumnCells(batch, k));
+    if (!removed.ok()) {
+      for (size_t j = 0; j < k; ++j) {
+        BBV_CHECK(sketches_[j].AddCells(ColumnCells(batch, j)).ok());
+      }
+      return removed;
+    }
+  }
+  rows_observed_ -= batch.rows();
   return common::Status::OK();
 }
 
@@ -399,6 +525,46 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
   }
   bank.rows_observed_ = rows;
   return bank;
+}
+
+QuantileSketchWindow::QuantileSketchWindow(size_t max_batches,
+                                           QuantileSketch::Options grid)
+    : max_batches_(max_batches), bank_(0, grid) {
+  BBV_CHECK(max_batches_ > 0) << "a window holds at least one batch";
+}
+
+common::Result<CellBatch> QuantileSketchWindow::Push(CellBatch batch) {
+  if (batch.empty()) {
+    return common::Status::InvalidArgument("empty batch pushed to a window");
+  }
+  BBV_RETURN_NOT_OK(bank_.AddCells(batch));
+  ring_.push_back(std::move(batch));
+  CellBatch evicted;
+  if (ring_.size() > max_batches_) {
+    evicted = std::move(ring_.front());
+    ring_.pop_front();
+    // The evicted batch was added before, so its cells are all held.
+    BBV_CHECK(bank_.RemoveCells(evicted).ok());
+  }
+  return evicted;
+}
+
+void QuantileSketchWindow::Undo(CellBatch evicted) {
+  BBV_CHECK(!ring_.empty()) << "Undo without a Push";
+  BBV_CHECK(bank_.RemoveCells(ring_.back()).ok());
+  ring_.pop_back();
+  if (ring_.empty() && evicted.empty()) {
+    // Back to the zero-column bank the first Push found.
+    Clear();
+  } else if (!evicted.empty()) {
+    BBV_CHECK(bank_.AddCells(evicted).ok());
+    ring_.push_front(std::move(evicted));
+  }
+}
+
+void QuantileSketchWindow::Clear() {
+  bank_ = QuantileSketchBank(0, bank_.options());
+  ring_.clear();
 }
 
 }  // namespace bbv::stats

@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -59,8 +61,17 @@ class QuantileSketch {
 
   /// Records `weight` occurrences of `value` (clamped to [lo, hi];
   /// non-finite values are rejected with a BBV_CHECK — the serving layer
-  /// filters them before they reach the sketch).
-  void Add(double value, uint64_t weight = 1);
+  /// filters them before they reach the sketch). Returns the grid cell the
+  /// value landed in.
+  size_t Add(double value, uint64_t weight = 1);
+
+  /// Adds / removes one occurrence per entry of `cells` (grid cell indices
+  /// on this sketch's grid, e.g. recorded by Add). RemoveCells is the exact
+  /// inverse of AddCells. Both reject an index off the grid, and RemoveCells
+  /// rejects removing more than a cell holds; on rejection the sketch is
+  /// unchanged.
+  common::Status AddCells(std::span<const uint32_t> cells);
+  common::Status RemoveCells(std::span<const uint32_t> cells);
 
   /// Adds the other sketch's multiset into this one. The grids must match
   /// exactly (same resolution and domain); merge is commutative and
@@ -105,14 +116,16 @@ class QuantileSketch {
 
   const Options& options() const { return options_; }
 
+  /// Grid index of the nearest grid point for `value` clamped to the
+  /// domain; requires a finite value.
+  static size_t CellIndex(double value, const Options& options);
+
   /// Canonical serialization: equal multisets produce identical bytes
   /// regardless of Add/Merge order. Sparse (index, weight) pairs.
   common::Status Save(std::ostream& out) const;
   static common::Result<QuantileSketch> Load(std::istream& in);
 
  private:
-  /// Grid index of the nearest grid point for a clamped value.
-  size_t CellIndex(double value) const;
   /// Value of grid point `index`.
   double CellValue(size_t index) const;
 
@@ -128,6 +141,23 @@ class QuantileSketch {
 /// underlying streams.
 common::Result<double> KsStatistic(const QuantileSketch& a,
                                    const QuantileSketch& b);
+
+/// One batch of a column-indexed stream mapped to grid cells:
+/// cells[k * rows() + i] is the grid cell of value (i, k) on `grid`. This is
+/// the form QuantileSketchBank::Observe reports a batch in and the form
+/// QuantileSketchWindow keeps, so a value is mapped to its cell once.
+struct CellBatch {
+  QuantileSketch::Options grid;
+  size_t columns = 0;
+  std::vector<uint32_t> cells;
+
+  /// Maps every entry of `values` to its cell on `grid`; requires finite
+  /// values.
+  static CellBatch Of(const linalg::Matrix& values,
+                      const QuantileSketch::Options& grid);
+  size_t rows() const { return columns == 0 ? 0 : cells.size() / columns; }
+  bool empty() const { return cells.empty(); }
+};
 
 /// A column-indexed bank of sketches over a probability matrix: sketch k
 /// summarizes output column k (class k's predicted probability). This is the
@@ -145,11 +175,23 @@ class QuantileSketchBank {
   /// empty batch and a column-count mismatch with the bank's width (the
   /// first observed batch fixes the width of a default-constructed bank).
   /// Columns are independent, so the update fans out over the shared thread
-  /// pool; results are identical at every BBV_THREADS setting.
-  common::Status Observe(const linalg::Matrix& values);
+  /// pool; results are identical at every BBV_THREADS setting. When `cells`
+  /// is non-null it also receives the batch's grid cells, recorded in the
+  /// same pass.
+  common::Status Observe(const linalg::Matrix& values,
+                         CellBatch* cells = nullptr);
 
   /// Merges another bank of the same shape and grid into this one.
   common::Status Merge(const QuantileSketchBank& other);
+
+  /// Adds / removes a batch given as grid cells. RemoveCells is the exact
+  /// inverse of AddCells (counts are integers), so AddCells(b) followed by
+  /// RemoveCells(b) restores the bank's bytes. Both reject a batch on
+  /// another grid, a column-count mismatch and off-grid cells; RemoveCells
+  /// also rejects removing rows the bank does not hold. On rejection the
+  /// bank is unchanged. AddCells on a zero-column bank fixes its width.
+  common::Status AddCells(const CellBatch& batch);
+  common::Status RemoveCells(const CellBatch& batch);
 
   /// Concatenated per-column percentiles — the sketch-path equivalent of
   /// core::PredictionStatistics. `percentile_points` must be sorted
@@ -176,6 +218,43 @@ class QuantileSketchBank {
   QuantileSketch::Options options_;
   std::vector<QuantileSketch> sketches_;
   uint64_t rows_observed_ = 0;
+};
+
+/// Sliding window over the last `max_batches` batches of a stream, kept as
+/// one running bank: each Push adds the new batch's cells and subtracts the
+/// cells of the batch that falls out of the window. Counts are integers, so
+/// the running bank is byte-identical (Save, PercentileFeatures) to merging
+/// the per-batch banks of the batches in the window, at O(rows) per batch
+/// instead of O(window * cells), in O(columns * 2^resolution_bits +
+/// window * rows * columns) memory.
+class QuantileSketchWindow {
+ public:
+  /// `max_batches` must be positive.
+  QuantileSketchWindow(size_t max_batches, QuantileSketch::Options grid);
+
+  /// Adds `batch` and, once more than max_batches batches are held, evicts
+  /// the oldest. Returns the evicted batch (empty when none was evicted),
+  /// which Undo takes to restore the window. Rejects a batch the bank
+  /// rejects (see QuantileSketchBank::AddCells) and an empty batch, leaving
+  /// the window unchanged.
+  common::Result<CellBatch> Push(CellBatch batch);
+
+  /// Undoes the most recent Push, given the batch it returned.
+  void Undo(CellBatch evicted);
+
+  /// Drops every batch.
+  void Clear();
+
+  /// Summary of the batches in the window.
+  const QuantileSketchBank& bank() const { return bank_; }
+  /// Batches in the window (<= max_batches).
+  size_t batches() const { return ring_.size(); }
+
+ private:
+  size_t max_batches_;
+  QuantileSketchBank bank_;
+  /// The batches in the window, oldest first.
+  std::deque<CellBatch> ring_;
 };
 
 }  // namespace bbv::stats

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/telemetry.h"
 #include "datasets/tabular.h"
@@ -13,6 +18,7 @@
 #include "json_test_util.h"
 #include "ml/black_box.h"
 #include "ml/sgd_logistic_regression.h"
+#include "stats/quantile_sketch.h"
 
 namespace bbv::core {
 namespace {
@@ -340,6 +346,85 @@ TEST(ModelMonitorTest, WindowedRejectsNonFiniteWithoutPollutingWindow) {
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->window_batches_used, 2u);
   EXPECT_EQ(next->window_rows, 2u * proba.rows());
+}
+
+TEST(ModelMonitorTest, WindowedEstimateMatchesMergedBankOracle) {
+  common::Rng rng(19);
+  Fixture fixture = MakeFixture(rng);
+  ModelMonitor::Options options;
+  options.window_batches = 3;
+  options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
+  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  const linalg::Matrix proba =
+      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+
+  // Batches of different sizes; every other one has its confidence pulled
+  // toward chance so the windowed estimate moves as batches slide.
+  std::vector<linalg::Matrix> batches;
+  for (size_t b = 0; b < 7; ++b) {
+    std::vector<size_t> rows;
+    for (size_t i = b * 37; i < std::min(proba.rows(), b * 37 + 90 + 40 * b);
+         ++i) {
+      rows.push_back(i);
+    }
+    linalg::Matrix batch = proba.SelectRows(rows);
+    if (b % 2 == 1) {
+      for (size_t i = 0; i < batch.rows(); ++i) {
+        for (size_t k = 0; k < batch.cols(); ++k) {
+          batch.At(i, k) = 0.5 + (batch.At(i, k) - 0.5) * 0.2;
+        }
+      }
+    }
+    batches.push_back(std::move(batch));
+  }
+
+  // The oracle: a fresh bank per batch, merged over the last
+  // window_batches accepted batches, scored by the scalar estimate.
+  std::deque<stats::QuantileSketchBank> oracle;
+  std::vector<double> points;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    if (b == 4) {
+      // A rejected batch at a full window would have evicted the oldest
+      // batch; the window must come out of the rejection unchanged.
+      linalg::Matrix poisoned = batches[b];
+      poisoned.At(1, 0) = std::numeric_limits<double>::infinity();
+      EXPECT_FALSE(monitor.Observe(poisoned).ok());
+    }
+    const auto report = monitor.Observe(batches[b]);
+    ASSERT_TRUE(report.ok());
+    oracle.emplace_back(0, stats::QuantileSketch::Options{});
+    ASSERT_TRUE(oracle.back().Observe(batches[b]).ok());
+    if (oracle.size() > options.window_batches) oracle.pop_front();
+    stats::QuantileSketchBank merged;
+    for (const stats::QuantileSketchBank& bank : oracle) {
+      ASSERT_TRUE(merged.Merge(bank).ok());
+    }
+    // bbv-lint: allow(batch-api) the scalar estimate is the oracle
+    const auto expected = fixture.predictor.EstimateScoreFromStatistics(
+        merged.PercentileFeatures(fixture.predictor.percentile_points()));
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(report->window_batches_used, oracle.size()) << b;
+    EXPECT_EQ(report->window_rows, merged.rows_observed()) << b;
+    EXPECT_EQ(std::bit_cast<uint64_t>(report->windowed_estimate.point),
+              std::bit_cast<uint64_t>(expected->point))
+        << b;
+    EXPECT_EQ(std::bit_cast<uint64_t>(report->windowed_estimate.lo),
+              std::bit_cast<uint64_t>(expected->lo));
+    EXPECT_EQ(std::bit_cast<uint64_t>(report->windowed_estimate.hi),
+              std::bit_cast<uint64_t>(expected->hi));
+    EXPECT_EQ(report->windowed_estimate.coverage_level,
+              expected->coverage_level);
+    const ModelMonitor::Assessment drops =
+        ModelMonitor::Assess(*expected, report->reference_score, options);
+    EXPECT_EQ(report->windowed_relative_drop, drops.relative_drop);
+    EXPECT_EQ(report->windowed_certified_drop, drops.certified_drop);
+    EXPECT_EQ(report->alarm, drops.alarm);
+    points.push_back(report->windowed_estimate.point);
+  }
+  EXPECT_EQ(monitor.batches_observed(), batches.size());
+  // The windows genuinely differ, otherwise the oracle proves little.
+  std::sort(points.begin(), points.end());
+  EXPECT_GE(std::unique(points.begin(), points.end()) - points.begin(), 4);
 }
 
 TEST(ModelMonitorTest, SwapPredictorStartsNewEpochAndClearsWindow) {

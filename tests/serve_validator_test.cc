@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,6 +22,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/monitor.h"
 #include "core/prediction_statistics.h"
 #include "serve/streaming_scorer.h"
 
@@ -130,6 +134,15 @@ std::vector<linalg::Matrix> TenantStream(size_t tenant, size_t batches) {
   return stream;
 }
 
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// Bitwise equality of all four ScoreEstimate fields.
+bool SameBits(const core::ScoreEstimate& a, const core::ScoreEstimate& b) {
+  return Bits(a.point) == Bits(b.point) && Bits(a.lo) == Bits(b.lo) &&
+         Bits(a.hi) == Bits(b.hi) &&
+         Bits(a.coverage_level) == Bits(b.coverage_level);
+}
+
 /// Replays one tenant's stream through a standalone StreamingScorer,
 /// returning the per-batch estimates (the ground truth the service's
 /// coalesced batch path must match bitwise).
@@ -164,6 +177,16 @@ TEST(ValidatorServiceTest, CreateTenantValidatesArguments) {
   bad_threshold.window_batches = 4;
   bad_threshold.alarm_threshold = 1.5;
   EXPECT_FALSE(service.CreateTenant("m", predictor, bad_threshold).ok());
+  // A monitored tenant's window reuses the scorer's grid cells, so the two
+  // resolutions must agree.
+  ValidatorService::TenantOptions mismatched_grid;
+  mismatched_grid.window_batches = 4;
+  mismatched_grid.monitor_resolution_bits = 10;
+  EXPECT_EQ(service.CreateTenant("m", predictor, mismatched_grid).code(),
+            common::StatusCode::kInvalidArgument);
+  mismatched_grid.scorer.resolution_bits = 10;
+  ASSERT_TRUE(service.CreateTenant("coarse", predictor, mismatched_grid).ok());
+  ASSERT_TRUE(service.RemoveTenant("coarse").ok());
 
   ASSERT_TRUE(service.CreateTenant("m", predictor).ok());
   EXPECT_EQ(service.CreateTenant("m", predictor).code(),
@@ -176,74 +199,146 @@ TEST(ValidatorServiceTest, CreateTenantValidatesArguments) {
 
 TEST(ValidatorServiceTest, CoalescedFlushMatchesStandaloneBitwise) {
   auto predictor = TrainSharedPredictor(42);
-  const size_t kTenants = 3;
+  auto retrained = TrainSharedPredictor(51);
+  // Monitored tenants "watch-*" come first in every round, so watch-0 is
+  // the coldest tenant of each flush; plain tenants "tenant-*" follow.
+  const size_t kMonitored = 2;
+  const size_t kPlain = 3;
+  const size_t kTenants = kMonitored + kPlain;
   const size_t kBatches = 6;
+  // Batches [0, kFlushSplit) ride the first flush, the rest the second.
+  const size_t kFlushSplit = 3;
+  // watch-1 hot-swaps to `retrained` right before its batch kSwapBefore.
+  const size_t kSwapBefore = 2;
+  ValidatorService::TenantOptions monitored;
+  monitored.window_batches = 3;
+  monitored.alarm_threshold = 0.15;
+  std::vector<std::string> ids;
   std::vector<std::vector<linalg::Matrix>> streams;
   for (size_t t = 0; t < kTenants; ++t) {
-    streams.push_back(TenantStream(t, kBatches));
+    ids.push_back(t < kMonitored ? "watch-" + std::to_string(t)
+                                 : "tenant-" + std::to_string(t - kMonitored));
+    // Plain tenants keep streams 0-2; the monitored ones get the healthier
+    // streams 3 and 4, so their windows see both alarm outcomes.
+    streams.push_back(
+        TenantStream(t < kMonitored ? kPlain + t : t - kMonitored, kBatches));
   }
 
-  // One interleaved submission trace, replayed identically per run.
+  // One interleaved submission trace, replayed identically per run. The
+  // residency cap is one below the tenant count, so the first flush ends by
+  // evicting watch-0 and the second starts by rehydrating it.
+  using Responses = std::vector<std::vector<ValidatorService::ScoreResponse>>;
   auto run_service = [&](const char* threads) {
     ScopedThreadsEnv env(threads);
-    ValidatorService service;
-    std::vector<std::string> ids;
+    ValidatorService::Options options;
+    options.max_resident_tenants = kTenants - 1;
+    ValidatorService service(options);
     for (size_t t = 0; t < kTenants; ++t) {
-      ids.push_back("tenant-" + std::to_string(t));
-      BBV_CHECK(service.CreateTenant(ids.back(), predictor).ok());
+      BBV_CHECK(service
+                    .CreateTenant(ids[t], predictor,
+                                  t < kMonitored
+                                      ? monitored
+                                      : ValidatorService::TenantOptions{})
+                    .ok());
     }
-    std::vector<std::vector<uint64_t>> request_ids(kTenants);
-    for (size_t b = 0; b < kBatches; ++b) {
-      for (size_t t = 0; t < kTenants; ++t) {
-        request_ids[t].push_back(service.Submit(ids[t], streams[t][b]));
-      }
-    }
-    const auto responses = service.Flush();
-    BBV_CHECK(responses.size() == kTenants * kBatches);
-    // Map responses back per tenant, in submission order.
-    std::vector<std::vector<core::ScoreEstimate>> estimates(kTenants);
-    for (size_t t = 0; t < kTenants; ++t) {
-      for (const uint64_t id : request_ids[t]) {
-        bool found = false;
-        for (const auto& response : responses) {
-          if (response.request_id != id) continue;
-          BBV_CHECK(response.status.ok()) << response.status.ToString();
-          estimates[t].push_back(response.estimate);
-          found = true;
+    Responses responses(kTenants);
+    for (const auto& [begin, end] :
+         {std::make_pair(size_t{0}, kFlushSplit),
+          std::make_pair(kFlushSplit, kBatches)}) {
+      std::vector<size_t> tenant_of;
+      for (size_t b = begin; b < end; ++b) {
+        for (size_t t = 0; t < kTenants; ++t) {
+          if (t == 1 && b == kSwapBefore) {
+            service.SubmitSwap(ids[t], retrained);
+            tenant_of.push_back(kTenants);
+          }
+          service.Submit(ids[t], streams[t][b]);
+          tenant_of.push_back(t);
         }
-        BBV_CHECK(found);
+      }
+      const auto flushed = service.Flush();
+      BBV_CHECK(flushed.size() == tenant_of.size());
+      for (size_t i = 0; i < flushed.size(); ++i) {
+        BBV_CHECK(flushed[i].status.ok()) << flushed[i].status.ToString();
+        if (tenant_of[i] < kTenants) {
+          responses[tenant_of[i]].push_back(flushed[i]);
+        }
+      }
+      if (begin == 0) {
+        BBV_CHECK(!service.GetTenantInfo(ids[0])->resident);
       }
     }
+    BBV_CHECK(service.GetTenantInfo(ids[1])->epoch == 1u);
     std::vector<std::string> state;
     for (size_t t = 0; t < kTenants; ++t) {
       state.push_back(TenantBytes(service, ids[t]));
     }
-    return std::make_pair(estimates, state);
+    return std::make_pair(responses, state);
   };
 
-  const auto [serial_estimates, serial_state] = run_service("1");
-  const auto [parallel_estimates, parallel_state] = run_service("8");
+  const auto [serial, serial_state] = run_service("1");
+  const auto [parallel, parallel_state] = run_service("8");
 
+  core::ModelMonitor::Options monitor_options;
+  monitor_options.alarm_threshold = monitored.alarm_threshold;
+  monitor_options.alarm_policy = monitored.alarm_policy;
+  monitor_options.history_limit = monitored.history_limit;
+  monitor_options.window_batches = monitored.window_batches;
+  monitor_options.sketch_resolution_bits = monitored.monitor_resolution_bits;
+  size_t alarms = 0;
   for (size_t t = 0; t < kTenants; ++t) {
-    const std::vector<core::ScoreEstimate> standalone =
-        StandaloneEstimates(predictor, streams[t]);
-    ASSERT_EQ(serial_estimates[t].size(), standalone.size());
-    for (size_t b = 0; b < standalone.size(); ++b) {
-      // Bitwise: the coalesced kernel batch walks trees in the same order
-      // as the standalone scalar path.
-      EXPECT_EQ(serial_estimates[t][b], standalone[b])
-          << "tenant " << t << " batch " << b;
-      EXPECT_EQ(parallel_estimates[t][b], standalone[b])
-          << "tenant " << t << " batch " << b;
-    }
+    // Standalone replay of the tenant's stream, swap and eviction.
     auto scorer = StreamingScorer::Create(predictor, {});
     ASSERT_TRUE(scorer.ok());
-    for (const auto& batch : streams[t]) {
-      ASSERT_TRUE(scorer->Ingest(batch).ok());
+    std::optional<core::ModelMonitor> monitor;
+    if (t < kMonitored) {
+      auto created =
+          core::ModelMonitor::CreateForProba(ids[t], predictor, monitor_options);
+      ASSERT_TRUE(created.ok());
+      monitor.emplace(std::move(*created));
+    }
+    ASSERT_EQ(serial[t].size(), kBatches);
+    ASSERT_EQ(parallel[t].size(), kBatches);
+    for (size_t b = 0; b < kBatches; ++b) {
+      if (t == 1 && b == kSwapBefore) {
+        ASSERT_TRUE(scorer->SwapPredictor(retrained).ok());
+        ASSERT_TRUE(monitor->SwapPredictor(retrained).ok());
+      }
+      if (t == 0 && b == kFlushSplit) monitor->ClearWindow();
+      ASSERT_TRUE(scorer->Ingest(streams[t][b]).ok());
+      const auto estimate = scorer->EstimateScore();
+      ASSERT_TRUE(estimate.ok());
+      for (const auto* responses : {&serial, &parallel}) {
+        const ValidatorService::ScoreResponse& response = (*responses)[t][b];
+        // Bitwise: the coalesced kernel batch walks trees in the same order
+        // as the standalone scalar path.
+        EXPECT_TRUE(SameBits(response.estimate, *estimate))
+            << "tenant " << t << " batch " << b;
+        EXPECT_EQ(response.monitored, monitor.has_value());
+      }
+      if (!monitor.has_value()) continue;
+      const auto report = monitor->Observe(streams[t][b]);
+      ASSERT_TRUE(report.ok());
+      alarms += report->alarm ? 1 : 0;
+      for (const auto* responses : {&serial, &parallel}) {
+        const ValidatorService::ScoreResponse& response = (*responses)[t][b];
+        EXPECT_EQ(response.alarm, report->alarm)
+            << "tenant " << t << " batch " << b;
+        EXPECT_TRUE(
+            SameBits(response.windowed_estimate, report->windowed_estimate))
+            << "tenant " << t << " batch " << b;
+        EXPECT_EQ(Bits(response.windowed_relative_drop),
+                  Bits(report->windowed_relative_drop));
+        EXPECT_EQ(Bits(response.windowed_certified_drop),
+                  Bits(report->windowed_certified_drop));
+      }
     }
     EXPECT_EQ(serial_state[t], ScorerBytes(*scorer));
     EXPECT_EQ(parallel_state[t], ScorerBytes(*scorer));
   }
+  // The trace must exercise both alarm outcomes to pin the alarm bits.
+  EXPECT_GT(alarms, 0u);
+  EXPECT_LT(alarms, kMonitored * kBatches);
 }
 
 TEST(ValidatorServiceTest, ScoreMatchesCoalescedFlush) {

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -414,6 +417,139 @@ TEST(QuantileSketchBankTest, MemoryIsIndependentOfRowCount) {
   QuantileSketchBank large;
   ASSERT_TRUE(large.Observe(RandomProbabilities(20000, 2, rng)).ok());
   EXPECT_EQ(small.MemoryBytes(), large.MemoryBytes());
+}
+
+std::vector<uint64_t> FeatureBits(const QuantileSketchBank& bank) {
+  std::vector<uint64_t> bits;
+  for (const double feature :
+       bank.PercentileFeatures(core::DefaultPercentilePoints())) {
+    bits.push_back(std::bit_cast<uint64_t>(feature));
+  }
+  return bits;
+}
+
+TEST(QuantileSketchWindowTest, RunningWindowEqualsMergedBanks) {
+  for (const char* threads : {"1", "8"}) {
+    ScopedThreadsEnv env(threads);
+    for (const int bits : {12, 5}) {
+      QuantileSketch::Options grid;
+      grid.resolution_bits = bits;
+      for (const size_t window_batches : {1ul, 2ul, 8ul}) {
+        SCOPED_TRACE(std::string("threads=") + threads +
+                     " bits=" + std::to_string(bits) +
+                     " window=" + std::to_string(window_batches));
+        common::Rng rng(29 + window_batches);
+        QuantileSketchWindow window(window_batches, grid);
+        // The oracle: the per-batch banks of the batches in the window.
+        std::deque<QuantileSketchBank> oracle;
+        QuantileSketchBank cumulative(0, grid);
+        for (size_t b = 0; b < 40; ++b) {
+          if (b == 13 || b == 27) {
+            // Mid-stream epoch boundaries.
+            window.Clear();
+            oracle.clear();
+          }
+          const linalg::Matrix values =
+              RandomProbabilities(1 + rng.UniformInt(0, 299), 3, rng);
+          // Both mappings must agree: the cells a bank records while
+          // observing and the standalone CellBatch::Of.
+          CellBatch cells;
+          ASSERT_TRUE(cumulative.Observe(values, &cells).ok());
+          const CellBatch mapped = CellBatch::Of(values, grid);
+          ASSERT_EQ(cells.cells, mapped.cells);
+          ASSERT_EQ(cells.columns, mapped.columns);
+          ASSERT_TRUE(window.Push(b % 2 == 0 ? cells : mapped).ok());
+
+          oracle.emplace_back(0, grid);
+          ASSERT_TRUE(oracle.back().Observe(values).ok());
+          if (oracle.size() > window_batches) oracle.pop_front();
+          QuantileSketchBank merged(0, grid);
+          for (const QuantileSketchBank& bank : oracle) {
+            ASSERT_TRUE(merged.Merge(bank).ok());
+          }
+          ASSERT_EQ(window.batches(), oracle.size());
+          ASSERT_EQ(BankBytes(window.bank()), BankBytes(merged)) << b;
+          ASSERT_EQ(FeatureBits(window.bank()), FeatureBits(merged)) << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantileSketchWindowTest, UndoRestoresTheWindowExactly) {
+  common::Rng rng(30);
+  const QuantileSketch::Options grid;
+  QuantileSketchWindow window(2, grid);
+  // Undo of a push that evicted nothing, then of one that evicted.
+  for (size_t b = 0; b < 4; ++b) {
+    const std::string before = BankBytes(window.bank());
+    const size_t batches = window.batches();
+    const auto evicted =
+        window.Push(CellBatch::Of(RandomProbabilities(50, 2, rng), grid));
+    ASSERT_TRUE(evicted.ok());
+    EXPECT_EQ(evicted->empty(), b < 2);
+    window.Undo(*evicted);
+    EXPECT_EQ(BankBytes(window.bank()), before);
+    EXPECT_EQ(window.batches(), batches);
+    ASSERT_TRUE(
+        window.Push(CellBatch::Of(RandomProbabilities(40, 2, rng), grid))
+            .ok());
+  }
+}
+
+TEST(QuantileSketchWindowTest, RejectsUnderflowAndMismatchWithStatus) {
+  common::Rng rng(31);
+  const QuantileSketch::Options grid;
+
+  // Sketch level: removing more than a cell holds, or an off-grid cell.
+  QuantileSketch sketch(grid);
+  ASSERT_TRUE(sketch.AddCells(std::vector<uint32_t>{5, 5, 7}).ok());
+  const std::string sketch_bytes = SketchBytes(sketch);
+  EXPECT_FALSE(sketch.RemoveCells(std::vector<uint32_t>{5, 5, 5}).ok());
+  EXPECT_FALSE(sketch.RemoveCells(std::vector<uint32_t>{7, 1u << 20}).ok());
+  EXPECT_FALSE(sketch.AddCells(std::vector<uint32_t>{1, 1u << 20}).ok());
+  EXPECT_EQ(SketchBytes(sketch), sketch_bytes);
+  ASSERT_TRUE(sketch.RemoveCells(std::vector<uint32_t>{7, 5, 5}).ok());
+  EXPECT_TRUE(sketch.empty());
+
+  // Bank level: removing a batch that was never added, or from an empty
+  // bank, fails and leaves the bank as it was.
+  const CellBatch held = CellBatch::Of(RandomProbabilities(30, 2, rng), grid);
+  const CellBatch other = CellBatch::Of(RandomProbabilities(30, 2, rng), grid);
+  QuantileSketchBank empty(0, grid);
+  EXPECT_FALSE(empty.RemoveCells(held).ok());
+  QuantileSketchBank bank(0, grid);
+  ASSERT_TRUE(bank.AddCells(held).ok());
+  const std::string bank_bytes = BankBytes(bank);
+  EXPECT_FALSE(bank.RemoveCells(other).ok());
+  EXPECT_EQ(BankBytes(bank), bank_bytes);
+  CellBatch twice = held;
+  twice.cells.insert(twice.cells.end(), held.cells.begin(), held.cells.end());
+  EXPECT_FALSE(bank.RemoveCells(twice).ok());
+  EXPECT_EQ(BankBytes(bank), bank_bytes);
+
+  // Window level: a batch on another grid, of another width, malformed,
+  // off the grid or empty is rejected and the window is unchanged.
+  QuantileSketchWindow window(3, grid);
+  ASSERT_TRUE(window.Push(held).ok());
+  const std::string window_bytes = BankBytes(window.bank());
+  QuantileSketch::Options coarse;
+  coarse.resolution_bits = 10;
+  const auto rejected = [&](const CellBatch& batch) {
+    const common::Status pushed = window.Push(batch).status();
+    return !pushed.ok() && BankBytes(window.bank()) == window_bytes &&
+           window.batches() == 1;
+  };
+  EXPECT_TRUE(
+      rejected(CellBatch::Of(RandomProbabilities(30, 2, rng), coarse)));
+  EXPECT_TRUE(rejected(CellBatch::Of(RandomProbabilities(30, 3, rng), grid)));
+  CellBatch ragged = held;
+  ragged.cells.pop_back();
+  EXPECT_TRUE(rejected(ragged));
+  CellBatch off_grid = held;
+  off_grid.cells.back() = 1u << 20;
+  EXPECT_TRUE(rejected(off_grid));
+  EXPECT_TRUE(rejected(CellBatch{grid, 2, {}}));
 }
 
 }  // namespace
