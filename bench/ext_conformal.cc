@@ -343,12 +343,8 @@ DeterminismOutcome RunDeterminismGates(const RunConfig& config) {
                 .EstimateScoresFromStatistics(
                     batch, std::span<core::ScoreEstimate>(batched))
                 .ok());
-  std::vector<double> points(statistics.size());
-  BBV_CHECK(
-      predictor.EstimateScoresFromStatistics(batch, std::span<double>(points))
-          .ok());
   for (size_t i = 0; i < statistics.size(); ++i) {
-    if (batched[i] != baseline[i] || points[i] != baseline[i].point) {
+    if (batched[i] != baseline[i]) {
       outcome.batch_scalar_identical = false;
       std::printf("BATCH/SCALAR MISMATCH at row %zu\n", i);
     }

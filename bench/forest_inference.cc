@@ -7,13 +7,20 @@
 // themselves (and stay comparable across machines); a separate sweep then
 // re-times the 1e5-row forest workloads at 2/4/8 threads.
 //
+// The forest's deep trees are not compact, so a quantized request runs the
+// float32 path on them; the depth-3 boosted trees are compact (L1-resident)
+// and a quantized request on them is routed to the exact kernel.
+//
 // Correctness gates (any violation exits non-zero):
 //  - bit-exact kernel outputs must equal the legacy node walk bit for bit;
-//  - quantized outputs must equal the bit-exact kernel evaluated on
-//    ForestKernel::QuantizeFeatures(serving) bit for bit (the fast path's
-//    defining property);
+//  - every quantized-request kernel must equal its own reference bit for
+//    bit: the bit-exact kernel on ForestKernel::QuantizeFeatures(serving)
+//    when it runs float32 (the fast path's defining property), the
+//    bit-exact kernel on serving itself when it is routed exact;
 //  - |quantized - exact| must stay within the kernel's documented
-//    quantization bound on every output slot.
+//    quantization bound on every output slot;
+//  - the forest must compile to a float32 kernel and the compact boosted
+//    ensemble must not.
 //
 // With --json[=PATH] the measurements land in BENCH_forest_inference.json;
 // the per-result "deterministic" and "within_bound" flags feed
@@ -125,11 +132,12 @@ struct PathResult {
   bool identical = false;
 };
 
-/// Measurements of the quantized fast path against the bit-exact kernel.
+/// Measurements of a quantized-request kernel against the bit-exact kernel.
 struct QuantResult {
   double seconds = 0.0;
-  /// Bit-identical to the exact kernel on QuantizeFeatures(serving)?
-  bool identical_on_rounded = false;
+  /// Bit-identical to its reference: the exact kernel on
+  /// QuantizeFeatures(serving) when it runs float32, on serving otherwise.
+  bool identical_to_reference = false;
   /// max |quantized - exact| over every output slot.
   double max_abs_error = 0.0;
   /// The kernel's documented bound for this entry point.
@@ -169,7 +177,7 @@ void ReportQuant(const std::string& name, size_t rows, double legacy_seconds,
   result.wall_seconds = measured.seconds;
   result.extras.emplace_back("rows", static_cast<double>(rows));
   result.extras.emplace_back("deterministic",
-                             measured.identical_on_rounded ? 1.0 : 0.0);
+                             measured.identical_to_reference ? 1.0 : 0.0);
   result.extras.emplace_back("within_bound",
                              measured.WithinBound() ? 1.0 : 0.0);
   result.extras.emplace_back("max_abs_error", measured.max_abs_error);
@@ -179,10 +187,10 @@ void ReportQuant(const std::string& name, size_t rows, double legacy_seconds,
       measured.seconds > 0.0 ? legacy_seconds / measured.seconds : 0.0);
   results.push_back(result);
   std::printf(
-      "%-18s rows=%zu wall=%.4fs identical_on_rounded=%s "
+      "%-18s rows=%zu wall=%.4fs identical_to_reference=%s "
       "max_err=%.3e bound=%.3e within_bound=%s\n",
       result.name.c_str(), rows, measured.seconds,
-      measured.identical_on_rounded ? "yes" : "NO", measured.max_abs_error,
+      measured.identical_to_reference ? "yes" : "NO", measured.max_abs_error,
       measured.error_bound, measured.WithinBound() ? "yes" : "NO");
 }
 
@@ -218,17 +226,18 @@ int RunBenchmark(int argc, char** argv) {
     BBV_CHECK(gbt.Fit(train, labels, 2, rng).ok());
   }
 
-  // Quantized kernels compiled from the same fitted ensembles. The forest's
-  // deep trees exercise the width-8 stepping path, the depth-3 boosted
-  // trees the QuickScorer bitvector path.
+  // Quantized-request kernels compiled from the same fitted ensembles. The
+  // forest's deep trees run the width-8 stepping path; the compact depth-3
+  // boosted trees are routed to the exact kernel.
   const ml::ForestKernel forest_quant = ml::ForestKernel::Compile(
       forest.trees(), ml::ForestKernel::Options{.quantized = true});
   const ml::ForestKernel gbt_quant = ml::ForestKernel::Compile(
       gbt.trees(), ml::ForestKernel::Options{.quantized = true});
   const auto num_classes = static_cast<size_t>(gbt.num_classes());
-  std::printf("bitvector_trees: forest=%zu gbt=%zu\n",
-              forest_quant.num_bitvector_trees(),
-              gbt_quant.num_bitvector_trees());
+  std::printf("quantized: forest=%s gbt=%s\n",
+              forest_quant.quantized() ? "yes" : "no",
+              gbt_quant.quantized() ? "yes" : "no");
+  const bool routing_ok = forest_quant.quantized() && !gbt_quant.quantized();
 
   auto gbt_base_scores = [&](size_t rows) {
     std::vector<double> scores(rows * num_classes);
@@ -251,8 +260,11 @@ int RunBenchmark(int argc, char** argv) {
     ScopedThreadsEnv env(1);
     const linalg::Matrix serving = MakeFeatures(rows, config.seed + rows);
     const std::string suffix = rows == 10'000 ? "_10k" : "_100k";
-    // The rounded serving copy the quantized path must match bit for bit.
+    // The rounded serving copy a float32 kernel must match bit for bit.
     const linalg::Matrix rounded = ml::ForestKernel::QuantizeFeatures(serving);
+    const auto reference_input = [&](const ml::ForestKernel& kernel) {
+      return kernel.quantized() ? &rounded : &serving;
+    };
 
     PathResult forest_measured;
     std::vector<double> legacy_predictions;
@@ -278,16 +290,17 @@ int RunBenchmark(int argc, char** argv) {
           return quant_predictions;
         },
         quant_predictions);
-    std::vector<double> rounded_predictions(rows);
-    forest.kernel().PredictMeanInto(rounded, rounded_predictions);
-    forest_quant_measured.identical_on_rounded =
-        quant_predictions == rounded_predictions;
+    std::vector<double> reference_predictions(rows);
+    forest.kernel().PredictMeanInto(*reference_input(forest_quant),
+                                    reference_predictions);
+    forest_quant_measured.identical_to_reference =
+        quant_predictions == reference_predictions;
     forest_quant_measured.max_abs_error =
         MaxAbsDiff(quant_predictions, kernel_predictions);
     forest_quant_measured.error_bound =
         forest_quant.QuantizationMeanErrorBound();
     all_identical =
-        all_identical && forest_quant_measured.identical_on_rounded;
+        all_identical && forest_quant_measured.identical_to_reference;
     all_within_bound = all_within_bound && forest_quant_measured.WithinBound();
     ReportQuant("rf" + suffix, rows, forest_measured.legacy_seconds,
                 forest_quant_measured, results);
@@ -325,14 +338,16 @@ int RunBenchmark(int argc, char** argv) {
           return scores;
         },
         quant_scores);
-    std::vector<double> rounded_scores = gbt_base_scores(rows);
-    gbt.kernel().AccumulateInto(rounded, gbt.learning_rate(), num_classes,
-                                rounded_scores);
-    gbt_quant_measured.identical_on_rounded = quant_scores == rounded_scores;
+    std::vector<double> reference_scores = gbt_base_scores(rows);
+    gbt.kernel().AccumulateInto(*reference_input(gbt_quant),
+                                gbt.learning_rate(), num_classes,
+                                reference_scores);
+    gbt_quant_measured.identical_to_reference =
+        quant_scores == reference_scores;
     gbt_quant_measured.max_abs_error = MaxAbsDiff(quant_scores, kernel_scores);
     gbt_quant_measured.error_bound = gbt_quant.QuantizationAccumulateErrorBound(
         gbt.learning_rate(), num_classes);
-    all_identical = all_identical && gbt_quant_measured.identical_on_rounded;
+    all_identical = all_identical && gbt_quant_measured.identical_to_reference;
     all_within_bound = all_within_bound && gbt_quant_measured.WithinBound();
     ReportQuant("gbt" + suffix, rows, gbt_measured.legacy_seconds,
                 gbt_quant_measured, results);
@@ -380,18 +395,25 @@ int RunBenchmark(int argc, char** argv) {
     WriteBenchJson(
         config.json_path, "forest_inference", config, results,
         {{"kernel_paths", "legacy,exact,quantized"},
-         {"quantized_config", "width8_tiles+bitvector_shallow_trees"}});
+         {"quantized_config", "width8_tiles;compact_ensembles_exact"}});
     std::printf("wrote %s\n", config.json_path.c_str());
   }
   MaybeWriteTelemetryJson(config);
   if (!config.telemetry_json_path.empty()) {
     std::printf("wrote %s\n", config.telemetry_json_path.c_str());
   }
+  if (!routing_ok) {
+    std::fprintf(stderr,
+                 "FAIL: quantized routing is wrong — the forest must compile "
+                 "to a float32 kernel and the compact boosted ensemble to "
+                 "the exact one\n");
+    return 1;
+  }
   if (!all_identical) {
     std::fprintf(stderr,
                  "FAIL: kernel and legacy node-walk predictions diverge (or "
-                 "the quantized path diverges from the exact kernel on "
-                 "rounded inputs) — an equivalence contract is broken\n");
+                 "a quantized-request kernel diverges from its exact "
+                 "reference) — an equivalence contract is broken\n");
     return 1;
   }
   if (!all_within_bound) {

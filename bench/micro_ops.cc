@@ -62,28 +62,6 @@ void BM_TwoSampleKsTest(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoSampleKsTest)->Arg(1000)->Arg(10000);
 
-void BM_RandomForestInference(benchmark::State& state) {
-  common::Rng rng(3);
-  const size_t dim = 42;
-  linalg::Matrix features(512, dim);
-  std::vector<double> targets(features.rows());
-  for (size_t i = 0; i < features.rows(); ++i) {
-    for (size_t j = 0; j < dim; ++j) features.At(i, j) = rng.Uniform();
-    targets[i] = rng.Uniform();
-  }
-  ml::RandomForestRegressor::Options options;
-  options.num_trees = static_cast<int>(state.range(0));
-  ml::RandomForestRegressor forest(options);
-  BBV_CHECK(forest.Fit(features, targets, rng).ok());
-  const std::vector<double> row = features.Row(0);
-  for (auto _ : state) {
-    // Single-row latency microbenchmark;
-    // bbv-lint: allow(batch-api) the scalar path is the thing measured
-    benchmark::DoNotOptimize(forest.PredictRow(row.data()));
-  }
-}
-BENCHMARK(BM_RandomForestInference)->Arg(25)->Arg(100);
-
 /// Shared fixture for the split-search microbenchmarks: one regression-tree
 /// fit over `rows` x 16 uniform features with a noisy linear target, timed
 /// end to end (for the binned variant this includes building the
@@ -122,8 +100,7 @@ BENCHMARK(BM_SplitSearchBinned)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_KernelTileWidth8(benchmark::State& state) {
   // Quantized width-8 tile traversal over a fitted 100-tree forest; the
-  // compare point is BM_RandomForestInference's scalar walk and the
-  // forest_inference bench's exact-kernel timings.
+  // compare point is the forest_inference bench's exact-kernel timings.
   common::Rng rng(10);
   const size_t dim = 16;
   linalg::Matrix features(2000, dim);

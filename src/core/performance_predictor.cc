@@ -352,6 +352,14 @@ common::Result<PerformancePredictor> PerformancePredictor::Load(
   predictor.options_.conformal_mode = predictor.calibrator_.mode();
   BBV_ASSIGN_OR_RETURN(predictor.regressor_,
                        ml::RandomForestRegressor::Load(reader));
+  // Every split must read inside the feature rows the estimate surfaces
+  // accept; a forest reading past them is corrupt, not servable.
+  const int32_t max_feature = predictor.regressor_.kernel().max_feature();
+  if (max_feature >= 0 &&
+      static_cast<uint64_t>(max_feature) >= feature_dimension) {
+    return common::Status::InvalidArgument(
+        "forest splits on a feature beyond the stored feature dimension");
+  }
   predictor.trained_ = true;
   return predictor;
 }
@@ -368,10 +376,6 @@ PerformancePredictor::ProbeEstimationError(
     const ml::BlackBox& model, const data::DataFrame& serving,
     const std::vector<int>& labels) const {
   const common::telemetry::TraceSpan span("predictor.probe_error");
-  if (!trained_) {
-    return common::Status::FailedPrecondition(
-        "ProbeEstimationError before Train");
-  }
   if (labels.size() != serving.NumRows()) {
     return common::Status::InvalidArgument(
         "probe labels size " + std::to_string(labels.size()) +
@@ -394,24 +398,14 @@ common::Result<ScoreEstimate> PerformancePredictor::EstimateScoreFromProba(
 
 common::Result<ScoreEstimate> PerformancePredictor::EstimateScoreFromProba(
     const linalg::Matrix& probabilities, double coverage_level) const {
-  const common::telemetry::TraceSpan span("predictor.estimate");
+  // Featurizing asserts the rows are class probabilities; an untrained
+  // predictor reports its state before it judges the input.
   if (!trained_) {
     return common::Status::FailedPrecondition("EstimateScore before Train");
   }
-  common::telemetry::IncrementCounter("predictor.estimate.calls");
-  common::telemetry::IncrementCounter("predictor.estimate.rows",
-                                      probabilities.rows());
-  const std::vector<double> statistics =
-      PredictionStatistics(probabilities, options_.percentile_points);
-  if (statistics.size() != feature_dimension_) {
-    return common::Status::InvalidArgument(
-        "serving batch has " + std::to_string(probabilities.cols()) +
-        " classes but the predictor was trained on " +
-        std::to_string(feature_dimension_ /
-                       options_.percentile_points.size()));
-  }
-  const double point = regressor_.PredictRow(statistics.data());
-  return IntervalFor(point, statistics.data(), coverage_level);
+  return EstimateScoreFromStatistics(
+      PredictionStatistics(probabilities, options_.percentile_points),
+      coverage_level);
 }
 
 common::Result<ScoreEstimate>
@@ -423,59 +417,37 @@ PerformancePredictor::EstimateScoreFromStatistics(
 common::Result<ScoreEstimate>
 PerformancePredictor::EstimateScoreFromStatistics(
     std::span<const double> statistics, double coverage_level) const {
-  const common::telemetry::TraceSpan span("predictor.estimate");
-  if (!trained_) {
-    return common::Status::FailedPrecondition("EstimateScore before Train");
-  }
-  if (statistics.size() != feature_dimension_) {
-    // The regressor indexes features by position; a mis-sized vector would
-    // read out of bounds, so reject it before inference.
-    return common::Status::InvalidArgument(
-        "feature vector has " + std::to_string(statistics.size()) +
-        " entries but the predictor was trained on " +
-        std::to_string(feature_dimension_));
-  }
-  common::telemetry::IncrementCounter("predictor.estimate.calls");
-  const double point = regressor_.PredictRow(statistics.data());
-  return IntervalFor(point, statistics.data(), coverage_level);
-}
-
-common::Status PerformancePredictor::EstimateScoresFromStatistics(
-    const linalg::Matrix& statistics, std::span<double> out) const {
-  const common::telemetry::TraceSpan span("predictor.estimate_batch");
-  if (!trained_) {
-    return common::Status::FailedPrecondition("EstimateScore before Train");
-  }
-  if (statistics.cols() != feature_dimension_) {
-    return common::Status::InvalidArgument(
-        "feature matrix has " + std::to_string(statistics.cols()) +
-        " columns but the predictor was trained on " +
-        std::to_string(feature_dimension_));
-  }
-  if (out.size() != statistics.rows()) {
-    return common::Status::InvalidArgument(
-        "output span holds " + std::to_string(out.size()) +
-        " slots for " + std::to_string(statistics.rows()) + " feature rows");
-  }
-  if (statistics.rows() == 0) return common::Status::OK();
-  common::telemetry::IncrementCounter("predictor.estimate.calls",
-                                      statistics.rows());
-  common::telemetry::IncrementCounter("predictor.estimate.batches");
-  regressor_.PredictInto(statistics, out);
-  return common::Status::OK();
+  const linalg::Matrix row(
+      1, statistics.size(),
+      std::vector<double>(statistics.begin(), statistics.end()));
+  ScoreEstimate estimate;
+  BBV_RETURN_NOT_OK(EstimateRows(row, coverage_level,
+                                 std::span<ScoreEstimate>(&estimate, 1)));
+  return estimate;
 }
 
 common::Status PerformancePredictor::EstimateScoresFromStatistics(
     const linalg::Matrix& statistics, std::span<ScoreEstimate> out) const {
-  const common::telemetry::TraceSpan span("predictor.estimate_batch");
+  return EstimateRows(statistics, options_.coverage_level, out);
+}
+
+common::Status PerformancePredictor::EstimateRows(
+    const linalg::Matrix& statistics, double coverage_level,
+    std::span<ScoreEstimate> out) const {
+  const common::telemetry::TraceSpan span("predictor.estimate");
   if (!trained_) {
     return common::Status::FailedPrecondition("EstimateScore before Train");
   }
   if (statistics.cols() != feature_dimension_) {
+    // The regressor indexes features by position; a mis-sized row would
+    // read out of bounds, so reject it before inference.
+    const size_t grid = options_.percentile_points.size();
     return common::Status::InvalidArgument(
-        "feature matrix has " + std::to_string(statistics.cols()) +
+        "feature rows have " + std::to_string(statistics.cols()) +
         " columns but the predictor was trained on " +
-        std::to_string(feature_dimension_));
+        std::to_string(feature_dimension_) + " (" +
+        std::to_string(feature_dimension_ / grid) + " classes x " +
+        std::to_string(grid) + " percentiles)");
   }
   if (out.size() != statistics.rows()) {
     return common::Status::InvalidArgument(
@@ -486,15 +458,14 @@ common::Status PerformancePredictor::EstimateScoresFromStatistics(
   common::telemetry::IncrementCounter("predictor.estimate.calls",
                                       statistics.rows());
   common::telemetry::IncrementCounter("predictor.estimate.batches");
-  // Points through the one kernel batch call (bit-identical to the scalar
-  // walk), then the interval per row — a pure function of the point and,
-  // in quantile-forest mode, the same per-row spread the scalar path
-  // computes, so batched and scalar estimates match bit for bit.
+  // Points through one kernel batch call, then the interval per row — a
+  // pure function of the point and, in quantile-forest mode, the row's
+  // per-tree spread — so an estimate never depends on which rows share its
+  // batch.
   std::vector<double> points(statistics.rows());
   regressor_.PredictInto(statistics, points);
   for (size_t i = 0; i < statistics.rows(); ++i) {
-    out[i] = IntervalFor(points[i], statistics.RowData(i),
-                         options_.coverage_level);
+    out[i] = IntervalFor(points[i], statistics.RowData(i), coverage_level);
   }
   return common::Status::OK();
 }

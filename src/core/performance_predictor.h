@@ -146,9 +146,8 @@ class PerformancePredictor {
   /// Estimated score from a precomputed percentile feature vector — the
   /// entry point for the streaming serving layer, whose mergeable sketches
   /// produce the same num_classes * percentile_points() features without
-  /// retaining rows. Takes a span so callers hand over their statistics
-  /// buffer without copying; `statistics` must match the feature dimension
-  /// the regressor was trained on.
+  /// retaining rows. `statistics` must match the feature dimension the
+  /// regressor was trained on.
   common::Result<ScoreEstimate> EstimateScoreFromStatistics(
       std::span<const double> statistics) const;
   /// Explicit-coverage overload for callers sweeping coverage levels.
@@ -157,16 +156,10 @@ class PerformancePredictor {
 
   /// Batch variant for the multi-tenant serving layer: one percentile
   /// feature row per pending request, all scored through a single
-  /// ForestKernel batch call instead of one scalar walk per request.
-  /// Bit-identical per row to EstimateScoreFromStatistics — the kernel's
-  /// exact batch path accumulates trees in the same order as the scalar
-  /// walk, and the interval is a pure function of the point (plus, in
-  /// quantile-forest mode, the per-row tree spread, computed identically on
-  /// both paths). `statistics` must have feature_dimension() columns and
-  /// `out.size()` rows. The point-only overload is the serving fast path
-  /// for consumers that do not read intervals.
-  common::Status EstimateScoresFromStatistics(const linalg::Matrix& statistics,
-                                              std::span<double> out) const;
+  /// ForestKernel batch call. Every EstimateScore* surface is a one-row
+  /// call of the same core, so a row's estimate is bit-identical whichever
+  /// surface scores it. `statistics` must have feature_dimension() columns
+  /// and `out.size()` rows.
   common::Status EstimateScoresFromStatistics(
       const linalg::Matrix& statistics, std::span<ScoreEstimate> out) const;
 
@@ -219,6 +212,13 @@ class PerformancePredictor {
   /// given coverage (row is only walked in quantile-forest mode).
   ScoreEstimate IntervalFor(double point, const double* row,
                             double coverage_level) const;
+  /// The estimate core behind every EstimateScore* surface: validates the
+  /// predictor state and the batch shape, scores every row of `statistics`
+  /// through one regressor batch call and writes each row's interval at
+  /// `coverage_level` into `out` (one slot per row).
+  common::Status EstimateRows(const linalg::Matrix& statistics,
+                              double coverage_level,
+                              std::span<ScoreEstimate> out) const;
 
   Options options_;
   bool trained_ = false;

@@ -422,6 +422,22 @@ linalg::Matrix DecisionTreeClassifier::PredictProba(
 
 namespace bbv::ml {
 
+namespace {
+
+/// Grow writes nodes in preorder, so every child index of the internal node
+/// at `index` lies strictly after it and inside the array. Loading only
+/// trees of that shape rules out out-of-range children and cycles (a
+/// self-loop or back-edge would hang every root-to-leaf walk).
+bool ValidChildren(int32_t left, int32_t right, size_t index, size_t count) {
+  const auto in_order = [&](int32_t child) {
+    return child >= 0 && static_cast<size_t>(child) > index &&
+           static_cast<size_t>(child) < count;
+  };
+  return in_order(left) && in_order(right);
+}
+
+}  // namespace
+
 void RegressionTree::Save(common::BinaryWriter& writer) const {
   std::vector<int32_t> features;
   std::vector<int32_t> lefts;
@@ -459,7 +475,6 @@ common::Result<RegressionTree> RegressionTree::Load(
   }
   RegressionTree tree;
   tree.nodes_.resize(count);
-  const auto node_count = static_cast<int32_t>(count);
   for (size_t i = 0; i < count; ++i) {
     Node& node = tree.nodes_[i];
     node.feature = features[i];
@@ -467,10 +482,7 @@ common::Result<RegressionTree> RegressionTree::Load(
     node.right = rights[i];
     node.threshold = thresholds[i];
     node.value = values[i];
-    // Internal nodes must reference valid children.
-    if (node.feature >= 0 &&
-        (node.left < 0 || node.left >= node_count || node.right < 0 ||
-         node.right >= node_count)) {
+    if (node.feature >= 0 && !ValidChildren(node.left, node.right, i, count)) {
       return common::Status::InvalidArgument("corrupt tree child index");
     }
   }
@@ -519,8 +531,8 @@ common::Result<DecisionTreeClassifier> DecisionTreeClassifier::Load(
     return common::Status::InvalidArgument("corrupt tree header");
   }
   tree.nodes_.resize(count);
-  const auto node_count = static_cast<int32_t>(count);
-  for (Node& node : tree.nodes_) {
+  for (size_t i = 0; i < count; ++i) {
+    Node& node = tree.nodes_[i];
     BBV_ASSIGN_OR_RETURN(node.feature, reader.ReadInt32());
     BBV_ASSIGN_OR_RETURN(node.threshold, reader.ReadDouble());
     BBV_ASSIGN_OR_RETURN(node.left, reader.ReadInt32());
@@ -531,9 +543,7 @@ common::Result<DecisionTreeClassifier> DecisionTreeClassifier::Load(
         static_cast<size_t>(tree.num_classes_)) {
       return common::Status::InvalidArgument("corrupt leaf payload");
     }
-    if (node.feature >= 0 &&
-        (node.left < 0 || node.left >= node_count || node.right < 0 ||
-         node.right >= node_count)) {
+    if (node.feature >= 0 && !ValidChildren(node.left, node.right, i, count)) {
       return common::Status::InvalidArgument("corrupt tree child index");
     }
   }

@@ -35,9 +35,9 @@ namespace bbv::ml {
 /// ## Quantized fast path (opt-in, Options::quantized)
 ///
 /// The default compare-and-descend walk is data-dependent and double-wide,
-/// so it is bound by branch misses and memory latency. The opt-in fast path
-/// trades a *measured, bounded* quantization step for data-level
-/// parallelism:
+/// so on large ensembles it is bound by branch misses and memory latency.
+/// The opt-in fast path trades a *measured, bounded* quantization step for
+/// data-level parallelism:
 ///
 ///  - thresholds are stored as float32, rounded DOWN to the largest float
 ///    whose double value does not exceed the exact threshold, so for every
@@ -49,32 +49,29 @@ namespace bbv::ml {
 ///    (tile[feature * 8 + lane]) and all 8 lanes descend in lockstep with a
 ///    branch-free select — leaves are materialized as self-looping nodes so
 ///    a tree of depth D is exactly D unconditional steps;
-///  - trees with at most 64 leaves (e.g. the depth-3 boosted trees) use a
-///    QuickScorer-style bitvector instead: one uint64 mask per internal
-///    node clears the in-order leaves of its left subtree, a row ANDs the
-///    masks of its false nodes and exits at countr_zero;
 ///  - the next tree's node block is prefetched while the current tree runs.
 ///
-/// Error contract: the fast path is BIT-IDENTICAL to the exact kernel
-/// evaluated on QuantizeFeatures(features) (features rounded to float32),
-/// so its only deviation from the exact result comes from that input
-/// rounding and is bounded by the per-tree leaf ranges:
+/// Compact ensembles (the flattened exact layout fits in 32 KB of L1, e.g.
+/// the depth-3 boosted trees) gain nothing from it — the exact walk is
+/// already cache-resident and measured faster — so Compile routes them to
+/// the exact kernel: no float32 representation is built and quantized()
+/// reports false.
+///
+/// Error contract: a kernel whose quantized() is true is BIT-IDENTICAL to
+/// the exact kernel evaluated on QuantizeFeatures(features) (features
+/// rounded to float32), so its only deviation from the exact result comes
+/// from that input rounding and is bounded by the per-tree leaf ranges:
 /// |fast - exact| <= QuantizationMeanErrorBound() (resp.
-/// QuantizationAccumulateErrorBound) for every row and output slot. The
-/// bit-exact path stays the default; PredictRowMean is always exact.
+/// QuantizationAccumulateErrorBound) for every row and output slot. Both
+/// bounds are 0 for a kernel that runs exact. The bit-exact path stays the
+/// default; PredictRowValuesInto is always exact.
 class ForestKernel {
  public:
   struct Options {
-    /// Opt into the float32 width-8 tile traversal described above. Off by
-    /// default: the default kernel stays bit-identical to the legacy scalar
-    /// node walk.
+    /// Opt into the float32 width-8 tile traversal described above for
+    /// ensembles that are not compact. Off by default: the default kernel
+    /// stays bit-identical to the legacy scalar node walk.
     bool quantized = false;
-    /// Within the quantized path, evaluate trees with at most 64 leaves
-    /// through the QuickScorer-style bitvector instead of lockstep
-    /// stepping. Output is bit-identical either way (both reproduce the
-    /// exact walk on rounded inputs); this only selects the faster
-    /// evaluation strategy for shallow trees.
-    bool bitvector_shallow_trees = true;
   };
 
   /// Empty kernel; every inference entry point BBV_CHECKs against it.
@@ -83,8 +80,9 @@ class ForestKernel {
   /// Compiles the flattened representation from fitted trees (every tree
   /// must have at least one node). The kernel copies what it needs; the
   /// source trees can be discarded or mutated afterwards. With
-  /// options.quantized the float32 representation is built alongside the
-  /// exact one and the threshold-rounding invariant is verified per node.
+  /// options.quantized and a non-compact ensemble the float32
+  /// representation is built alongside the exact one and the
+  /// threshold-rounding invariant is verified per node.
   static ForestKernel Compile(std::span<const RegressionTree> trees,
                               Options options);
   static ForestKernel Compile(std::span<const RegressionTree> trees) {
@@ -100,10 +98,9 @@ class ForestKernel {
   /// mis-shaped matrix fails fast instead of reading out of bounds.
   int32_t max_feature() const { return max_feature_; }
 
-  /// Whether the batch entry points run the quantized fast path.
-  bool quantized() const { return options_.quantized; }
-  /// Trees evaluated through the bitvector strategy (0 unless quantized).
-  size_t num_bitvector_trees() const { return num_bitvector_trees_; }
+  /// Whether the batch entry points run the float32 fast path: requested
+  /// through Options::quantized and not routed to the exact kernel.
+  bool quantized() const { return quantized_; }
 
   /// The input rounding the fast path is exact against: every entry cast to
   /// float32 and back (values beyond float range saturate to +/-inf). The
@@ -113,13 +110,13 @@ class ForestKernel {
   /// Scalar form of the same rounding.
   static float QuantizeValue(double value);
 
-  /// Upper bound on |quantized - exact| for PredictMeanInto/PredictRowMean
-  /// outputs: mean per-tree leaf range plus double-summation rounding
-  /// slack. Requires a quantized kernel.
+  /// Upper bound on |quantized - exact| for PredictMeanInto outputs: mean
+  /// per-tree leaf range plus double-summation rounding slack; 0 unless
+  /// quantized().
   double QuantizationMeanErrorBound() const;
   /// Upper bound on |quantized - exact| for any AccumulateInto output slot
-  /// at the given scale and stride (max over the stride residue classes).
-  /// Requires a quantized kernel.
+  /// at the given scale and stride (max over the stride residue classes);
+  /// 0 unless quantized().
   double QuantizationAccumulateErrorBound(double scale, size_t stride) const;
 
   /// Strided accumulation: for every row r and every tree t (in ensemble
@@ -134,11 +131,6 @@ class ForestKernel {
   /// prediction per row. `out.size()` must equal features.rows().
   void PredictMeanInto(const linalg::Matrix& features,
                        std::span<double> out) const;
-
-  /// Scalar convenience path: mean across trees for one feature row. Always
-  /// the bit-exact walk, even for quantized kernels. The caller guarantees
-  /// `row` has at least max_feature() + 1 entries.
-  double PredictRowMean(const double* row) const;
 
   /// Per-tree leaf responses for one feature row, in ensemble order:
   /// out[t] = tree_t(row). Always the bit-exact walk. This exposes the
@@ -168,8 +160,8 @@ class ForestKernel {
                         size_t end, double scale, size_t stride,
                         std::span<double> out, float* tile) const;
 
-  /// Builds the quantized (stepping + bitvector) representation; called by
-  /// Compile when options.quantized is set.
+  /// Builds the quantized stepping representation; called by Compile when
+  /// the float32 path runs.
   void CompileQuantized(std::span<const RegressionTree> trees);
 
   double TraverseRow(size_t tree, const double* row) const {
@@ -198,10 +190,11 @@ class ForestKernel {
   // pulling each tree through cache. Either order sums per output slot in
   // ascending tree order, so the choice never changes a single bit.
   bool compact_ = false;
+  // Whether the batch paths run the float32 representation below
+  // (Options::quantized and not compact_).
+  bool quantized_ = false;
 
-  Options options_;
-
-  // --- Quantized stepping representation (empty unless quantized) ---
+  // --- Quantized stepping representation (empty unless quantized_) ---
   // Padded per-tree node blocks: internal nodes carry the floor-rounded
   // float32 threshold, leaves are self-loops (feature 0, threshold +inf,
   // both children pointing at themselves) holding the leaf payload, so a
@@ -211,27 +204,12 @@ class ForestKernel {
   std::vector<int32_t> qleft_;
   std::vector<int32_t> qright_;
   std::vector<double> qvalue_;
-  // Per-tree block offsets into the arrays above (num_trees + 1 entries;
-  // bitvector trees own an empty block) and per-tree step counts.
+  // Per-tree block offsets into the arrays above (num_trees + 1 entries)
+  // and per-tree step counts.
   std::vector<size_t> qnode_begin_;
   std::vector<int32_t> qdepth_;
-  // 1 for trees evaluated through the bitvector strategy.
-  std::vector<uint8_t> tree_uses_bitvector_;
-  size_t num_bitvector_trees_ = 0;
 
-  // --- QuickScorer-style bitvector representation (shallow trees) ---
-  // Per internal node: split feature/threshold plus the uint64 mask that
-  // clears the in-order leaves of its left subtree; per tree: the node
-  // block [qs_node_begin_[t], qs_node_begin_[t + 1]) and the first in-order
-  // leaf slot in qs_leaf_value_.
-  std::vector<int32_t> qs_feature_;
-  std::vector<float> qs_threshold_;
-  std::vector<uint64_t> qs_mask_;
-  std::vector<double> qs_leaf_value_;
-  std::vector<size_t> qs_node_begin_;
-  std::vector<size_t> qs_leaf_begin_;
-
-  // --- Error-bound bookkeeping (per tree, built for quantized kernels) ---
+  // --- Error-bound bookkeeping (per tree, empty unless quantized_) ---
   // leaf range (max - min) and max |leaf| per tree: the ingredients of the
   // documented quantization bounds.
   std::vector<double> tree_leaf_range_;

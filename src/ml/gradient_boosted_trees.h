@@ -30,7 +30,7 @@ class GradientBoostedTrees : public Classifier {
     double subsample = 0.8;
     TreeOptions tree;
     /// Inference-kernel configuration compiled at Fit time (quantized
-    /// width-8 / bitvector fast path; see ForestKernel). Load always
+    /// width-8 fast path; see ForestKernel). Load always
     /// restores the default bit-exact kernel.
     ForestKernel::Options kernel;
 

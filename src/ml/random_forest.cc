@@ -61,11 +61,6 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
   return common::Status::OK();
 }
 
-double RandomForestRegressor::PredictRow(const double* row) const {
-  BBV_CHECK(fitted()) << "Predict before Fit";
-  return kernel_.PredictRowMean(row);
-}
-
 void RandomForestRegressor::PredictInto(const linalg::Matrix& features,
                                         std::span<double> out) const {
   BBV_CHECK(fitted()) << "Predict before Fit";

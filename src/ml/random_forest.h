@@ -19,9 +19,9 @@ namespace bbv::ml {
 /// grid-searched over the number of trees).
 ///
 /// Inference rides the flattened ForestKernel compiled at fit/load time:
-/// Predict/PredictInto are the batch surfaces (tiled, deterministic,
-/// bit-identical to the legacy per-node walk), and PredictRow is the scalar
-/// convenience path for single feature vectors.
+/// Predict/PredictInto are the only prediction surfaces (tiled,
+/// deterministic, bit-identical to the legacy per-node walk). A single
+/// feature vector is a one-row batch.
 class RandomForestRegressor {
  public:
   struct Options {
@@ -56,15 +56,9 @@ class RandomForestRegressor {
 
   /// Allocation-free batch surface: writes the mean prediction per row of
   /// `features` into `out` (whose size must equal features.rows()) through
-  /// the flattened kernel. This is THE batch path — new batch call sites
-  /// must not loop over PredictRow. Requires fitted().
+  /// the flattened kernel. Requires fitted().
   void PredictInto(const linalg::Matrix& features,
                    std::span<double> out) const;
-
-  /// Scalar convenience path for a single feature vector (e.g. one
-  /// percentile-statistics row at serving time); not the batch path.
-  /// Requires fitted().
-  double PredictRow(const double* row) const;
 
   bool fitted() const { return !trees_.empty(); }
   int num_trees() const { return static_cast<int>(trees_.size()); }

@@ -299,17 +299,11 @@ TEST(ConformalPredictorTest, BatchEstimatesMatchScalarBitwise) {
                     .EstimateScoresFromStatistics(
                         batch, std::span<ScoreEstimate>(estimates))
                     .ok());
-    std::vector<double> points(statistics.size());
-    ASSERT_TRUE(predictor
-                    .EstimateScoresFromStatistics(batch,
-                                                  std::span<double>(points))
-                    .ok());
     for (size_t i = 0; i < statistics.size(); ++i) {
       const auto scalar =
           predictor.EstimateScoreFromStatistics(statistics[i]);  // bbv-lint: allow(batch-api) the scalar side of the bitwise contract
       ASSERT_TRUE(scalar.ok());
       EXPECT_EQ(estimates[i], *scalar) << "row " << i;  // all four fields
-      EXPECT_EQ(points[i], scalar->point) << "row " << i;  // bbv-lint: allow(float-eq) bitwise contract
     }
   }
 }

@@ -3,7 +3,6 @@
 
 struct Model {
   double PredictRow(const double* row) const;
-  double PredictRowMean(const double* row) const;
 };
 
 double SumLoop(const Model& model, const double* rows, int n) {
@@ -13,7 +12,7 @@ double SumLoop(const Model& model, const double* rows, int n) {
   }
   int j = 0;
   while (j < n) {
-    total += model.PredictRowMean(rows + j);  // finding: while bodies too
+    total += model.PredictRow(rows + j);  // finding: while bodies too
     ++j;
   }
   // finding: single-statement loop bodies are tracked without braces

@@ -1,13 +1,13 @@
 // Property tests for the opt-in tree-ensemble fast paths: the quantized
-// width-8 / bitvector inference kernel and the histogram-binned split
-// search. The contracts under test:
+// width-8 inference kernel and the histogram-binned split search. The
+// contracts under test:
 //  - quantized outputs are bit-identical to the bit-exact kernel evaluated
 //    on ForestKernel::QuantizeFeatures(input), for every input shape the
 //    serving layer sees (uniform, edge-concentrated, heavily tied,
 //    constant) and for tile-remainder row counts;
 //  - |quantized - exact| never exceeds the kernel's documented bounds;
-//  - the bitvector strategy for shallow trees changes timings only, never
-//    a single output bit;
+//  - compact (L1-resident) ensembles are routed to the exact kernel: a
+//    quantized request on them runs exact, bit for bit, with zero bounds;
 //  - both fast paths are thread-count independent (byte-identical results
 //    and serialized models at BBV_THREADS 1 vs 8);
 //  - FeatureBinning's code/cut contract: code(v) <= b  <=>  v <= CutValue(b).
@@ -137,7 +137,10 @@ TEST(ForestFastPathTest, QuantizedMatchesExactWithinBoundAcrossShapes) {
     const RandomForestRegressor forest = FitForest(train, targets, 7 + shape);
     const ForestKernel quantized = ForestKernel::Compile(
         forest.trees(), ForestKernel::Options{.quantized = true});
-    ASSERT_TRUE(quantized.quantized());
+    // Constant features admit no split: all-leaf trees form a compact
+    // ensemble, which runs exact. Every other shape grows deep trees.
+    const bool compact = shape == 3;
+    ASSERT_EQ(quantized.quantized(), !compact) << "shape=" << shape;
 
     const linalg::Matrix serving = MakeShapeMatrix(333, 8, shape, rng);
     std::vector<double> exact(serving.rows());
@@ -153,11 +156,12 @@ TEST(ForestFastPathTest, QuantizedMatchesExactWithinBoundAcrossShapes) {
     }
 
     // The defining fast-path property: bit-identical to the exact kernel on
-    // float32-rounded inputs.
-    const linalg::Matrix rounded = ForestKernel::QuantizeFeatures(serving);
-    std::vector<double> exact_on_rounded(serving.rows());
-    forest.kernel().PredictMeanInto(rounded, exact_on_rounded);
-    EXPECT_TRUE(BytesEqual(fast, exact_on_rounded)) << "shape=" << shape;
+    // float32-rounded inputs (on the inputs themselves when routed exact).
+    const linalg::Matrix reference_input =
+        compact ? serving : ForestKernel::QuantizeFeatures(serving);
+    std::vector<double> reference(serving.rows());
+    forest.kernel().PredictMeanInto(reference_input, reference);
+    EXPECT_TRUE(BytesEqual(fast, reference)) << "shape=" << shape;
   }
 }
 
@@ -168,6 +172,7 @@ TEST(ForestFastPathTest, QuantizedHandlesTileRemainderRowCounts) {
   const RandomForestRegressor forest = FitForest(train, targets, 23);
   const ForestKernel quantized = ForestKernel::Compile(
       forest.trees(), ForestKernel::Options{.quantized = true});
+  ASSERT_TRUE(quantized.quantized());
 
   // Row counts around the 8-lane groups and the 64-row tiles, including
   // every remainder 1..9 and the one-past-a-boundary cases.
@@ -185,11 +190,10 @@ TEST(ForestFastPathTest, QuantizedHandlesTileRemainderRowCounts) {
   }
 }
 
-TEST(ForestFastPathTest, BitvectorStrategyNeverChangesABit) {
-  // Depth-3 boosted trees have at most 8 leaves, so with the default
-  // options every tree runs through the QuickScorer bitvector; with the
-  // strategy off the same trees run through lockstep stepping. Both must
-  // reproduce the exact walk on rounded inputs bit for bit.
+TEST(ForestFastPathTest, CompactEnsembleRunsExact) {
+  // Depth-3 boosted trees flatten into far less than L1, where the exact
+  // walk beats the float32 tiles; a quantized request on them must run the
+  // exact kernel, bit for bit, and report zero quantization error.
   common::Rng rng(17);
   const linalg::Matrix train = MakeShapeMatrix(600, 8, 1, rng);
   std::vector<int> labels(train.rows());
@@ -202,31 +206,20 @@ TEST(ForestFastPathTest, BitvectorStrategyNeverChangesABit) {
   common::Rng fit_rng(29);
   ASSERT_TRUE(gbt.Fit(train, labels, 2, fit_rng).ok());
 
-  const ForestKernel with_bitvector = ForestKernel::Compile(
+  const ForestKernel requested = ForestKernel::Compile(
       gbt.trees(), ForestKernel::Options{.quantized = true});
-  const ForestKernel without_bitvector = ForestKernel::Compile(
-      gbt.trees(), ForestKernel::Options{.quantized = true,
-                                         .bitvector_shallow_trees = false});
-  EXPECT_GT(with_bitvector.num_bitvector_trees(), 0u);
-  EXPECT_EQ(without_bitvector.num_bitvector_trees(), 0u);
+  EXPECT_FALSE(requested.quantized());
 
   const linalg::Matrix serving = MakeShapeMatrix(257, 8, 1, rng);
   const size_t stride = 2;
   const double scale = gbt.learning_rate();
-  std::vector<double> scores_bitvector(serving.rows() * stride, 0.0);
-  std::vector<double> scores_stepping(serving.rows() * stride, 0.0);
-  with_bitvector.AccumulateInto(serving, scale, stride, scores_bitvector);
-  without_bitvector.AccumulateInto(serving, scale, stride, scores_stepping);
-  EXPECT_TRUE(BytesEqual(scores_bitvector, scores_stepping));
-
-  // And both stay within the accumulate-slot bound against the exact walk.
+  std::vector<double> routed(serving.rows() * stride, 0.0);
   std::vector<double> exact(serving.rows() * stride, 0.0);
+  requested.AccumulateInto(serving, scale, stride, routed);
   gbt.kernel().AccumulateInto(serving, scale, stride, exact);
-  const double bound =
-      with_bitvector.QuantizationAccumulateErrorBound(scale, stride);
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_LE(std::abs(scores_bitvector[i] - exact[i]), bound) << "slot=" << i;
-  }
+  EXPECT_TRUE(BytesEqual(routed, exact));
+  EXPECT_EQ(requested.QuantizationAccumulateErrorBound(scale, stride), 0.0);
+  EXPECT_EQ(requested.QuantizationMeanErrorBound(), 0.0);
 }
 
 TEST(ForestFastPathTest, QuantizedPathIsThreadCountIndependent) {
@@ -236,6 +229,7 @@ TEST(ForestFastPathTest, QuantizedPathIsThreadCountIndependent) {
   const RandomForestRegressor forest = FitForest(train, targets, 31);
   const ForestKernel quantized = ForestKernel::Compile(
       forest.trees(), ForestKernel::Options{.quantized = true});
+  ASSERT_TRUE(quantized.quantized());
   // Enough rows for several 64-row tiles so the parallel fan-out is real.
   const linalg::Matrix serving = MakeShapeMatrix(1000, 8, 0, rng);
   std::vector<double> serial(serving.rows());

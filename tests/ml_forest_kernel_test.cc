@@ -148,11 +148,10 @@ TEST(ForestKernelTest, ForestPredictionsBitIdenticalToLegacyNodeWalk) {
         EXPECT_EQ(kernel_predictions[i], legacy_predictions[i])
             << "depth " << depth << ", trees " << num_trees << ", row " << i;
       }
-      // The scalar convenience path rides the same kernel.
+      // A single feature vector is a one-row batch; a row's prediction
+      // must not depend on the tile it shares with other rows.
       for (size_t i = 0; i < serving.rows(); ++i) {
-        // The rule exists to keep per-row calls out of serving code;
-        // bbv-lint: allow(batch-api) validates scalar path against kernel
-        EXPECT_EQ(forest.PredictRow(serving.RowData(i)),
+        EXPECT_EQ(forest.Predict(serving.SelectRows({i})).front(),
                   legacy_predictions[i]);
       }
     }

@@ -108,7 +108,8 @@ TEST(RandomForestDeathTest, PredictBeforeFitDies) {
   std::vector<double> out(features.rows());
   EXPECT_DEATH(forest.Predict(features), "Predict before Fit");
   EXPECT_DEATH(forest.PredictInto(features, out), "Predict before Fit");
-  EXPECT_DEATH(forest.PredictRow(row), "Predict before Fit");
+  EXPECT_DEATH(forest.kernel().PredictRowValuesInto(row, out),
+               "ForestKernel inference before Compile");
 }
 
 TEST(RandomForestTest, EnsembleBeatsSingleTreeOnNoisyData) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/serialize.h"
 #include "core/performance_predictor.h"
@@ -13,6 +16,7 @@
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
 #include "ml/black_box.h"
+#include "ml/decision_tree.h"
 #include "ml/gradient_boosted_trees.h"
 #include "ml/random_forest.h"
 #include "ml/sgd_logistic_regression.h"
@@ -224,6 +228,64 @@ TEST(GbdtSerializationTest, GarbageInputRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// Hostile tree topologies
+// ---------------------------------------------------------------------------
+
+/// Three-node regression tree whose internal nodes 0 and 1 point at
+/// `lefts`/`rights`; node 2 is a leaf. Loading only ever checks the status:
+/// a cyclic tree must never reach a predict call, which would not return.
+common::Result<ml::RegressionTree> LoadRegressionTree(
+    const std::vector<int32_t>& lefts, const std::vector<int32_t>& rights) {
+  std::stringstream buffer;
+  common::BinaryWriter writer(buffer);
+  writer.WriteInt32Vector({0, 0, -1});
+  writer.WriteInt32Vector(lefts);
+  writer.WriteInt32Vector(rights);
+  writer.WriteDoubleVector({0.5, 0.25, 0.0});
+  writer.WriteDoubleVector({0.0, 0.0, 1.0});
+  common::BinaryReader reader(buffer);
+  return ml::RegressionTree::Load(reader);
+}
+
+TEST(TreeSerializationTest, RegressionTreeRejectsCycles) {
+  // Preorder layout (the only shape Grow writes) loads.
+  EXPECT_TRUE(LoadRegressionTree({1, 2, -1}, {2, 2, -1}).ok());
+  // Self-loop at the root.
+  EXPECT_EQ(LoadRegressionTree({0, 2, -1}, {2, 2, -1}).status().code(),
+            common::StatusCode::kInvalidArgument);
+  // Back-edge from node 1 to its parent.
+  EXPECT_EQ(LoadRegressionTree({1, 0, -1}, {2, 2, -1}).status().code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+/// DecisionTreeClassifier counterpart of LoadRegressionTree.
+common::Result<ml::DecisionTreeClassifier> LoadClassifierTree(
+    const std::vector<int32_t>& lefts, const std::vector<int32_t>& rights) {
+  std::stringstream buffer;
+  common::BinaryWriter writer(buffer);
+  writer.WriteMagic("BBVCT", 1);
+  writer.WriteInt32(2);
+  writer.WriteUint64(3);
+  const int32_t features[] = {0, 0, -1};
+  for (size_t i = 0; i < 3; ++i) {
+    writer.WriteInt32(features[i]);
+    writer.WriteDouble(0.5);
+    writer.WriteInt32(lefts[i]);
+    writer.WriteInt32(rights[i]);
+    writer.WriteDoubleVector({0.5, 0.5});
+  }
+  return ml::DecisionTreeClassifier::Load(buffer);
+}
+
+TEST(TreeSerializationTest, DecisionTreeClassifierRejectsCycles) {
+  EXPECT_TRUE(LoadClassifierTree({1, 2, -1}, {2, 2, -1}).ok());
+  EXPECT_EQ(LoadClassifierTree({0, 2, -1}, {2, 2, -1}).status().code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadClassifierTree({1, 0, -1}, {2, 2, -1}).status().code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
 // Performance predictor
 // ---------------------------------------------------------------------------
 
@@ -268,6 +330,49 @@ TEST(PredictorSerializationTest, SaveBeforeTrainFails) {
 TEST(PredictorSerializationTest, GarbageInputRejected) {
   std::stringstream buffer("BBVPPnonsense");
   EXPECT_FALSE(core::PerformancePredictor::Load(buffer).ok());
+}
+
+TEST(PredictorSerializationTest, ForestReadingPastFeatureDimensionRejected) {
+  // Percentile grid of 3 over 2 classes: 6 equally informative features,
+  // so the 25 trees split on features past the first 3.
+  core::PerformancePredictor::Options options;
+  options.percentile_points = {25.0, 50.0, 75.0};
+  options.tree_count_grid = {25};
+  core::PerformancePredictor predictor(options);
+  std::vector<std::vector<double>> statistics;
+  std::vector<double> scores;
+  for (int i = 0; i < 40; ++i) {
+    const double x = static_cast<double>(i) / 40.0;
+    statistics.push_back(std::vector<double>(6, x));
+    scores.push_back(x);
+  }
+  common::Rng rng(6);
+  ASSERT_TRUE(predictor.TrainFromStatistics(statistics, scores, 0.5, rng).ok());
+  std::stringstream buffer;
+  ASSERT_TRUE(predictor.Save(buffer).ok());
+  std::string bytes = buffer.str();
+
+  // The stored feature dimension sits right before the coverage level;
+  // rewrite it to 3, a smaller multiple of the grid size.
+  const auto encode = [](uint64_t dimension, double coverage) {
+    std::stringstream out;
+    common::BinaryWriter writer(out);
+    writer.WriteUint64(dimension);
+    writer.WriteDouble(coverage);
+    return out.str();
+  };
+  const std::string stored = encode(6, predictor.coverage_level());
+  const size_t at = bytes.find(stored);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(stored, at + 1), std::string::npos);
+  bytes.replace(at, stored.size(), encode(3, predictor.coverage_level()));
+
+  std::stringstream corrupt(bytes);
+  EXPECT_EQ(core::PerformancePredictor::Load(corrupt).status().code(),
+            common::StatusCode::kInvalidArgument);
+  // The untouched bytes still load.
+  std::stringstream intact(buffer.str());
+  EXPECT_TRUE(core::PerformancePredictor::Load(intact).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -640,14 +640,14 @@ void CheckBatchApi(const std::string& path, const LexedFile& lexed,
       }
       continue;
     }
-    if (!loops.empty() &&
-        (IsIdent(token, "PredictRow") || IsIdent(token, "PredictRowMean")) &&
+    if (!loops.empty() && IsIdent(token, "PredictRow") &&
         i + 1 < tokens.size() && IsPunct(tokens[i + 1], "(")) {
       Report(path, lexed, token.line, rule,
              "'" + token.text +
                  "' inside a loop re-opens the per-row inference path; batch "
-                 "through ml::ForestKernel PredictInto/PredictProbaInto (the "
-                 "scalar walk is reserved for kernel validation)",
+                 "through the ForestKernel-backed PredictInto/"
+                 "PredictProbaInto (the scalar walk is reserved for kernel "
+                 "validation)",
              findings);
     }
     // Same contract one layer up: the scalar estimate surface inside a loop

@@ -63,9 +63,11 @@ struct LintFinding {
 ///    Matching is name-based: a name declared with both a Status and a void
 ///    return type anywhere in the tree is ambiguous and skipped (the
 ///    compiler's [[nodiscard]] warning still covers those call sites).
-///  - "batch-api": PredictRow/PredictRowMean inside a loop body re-opens the
-///    per-row inference path the PR 5 kernel gate closed; batch prediction
-///    must flow through ml::ForestKernel PredictInto/PredictProbaInto.
+///  - "batch-api": PredictRow (the legacy RegressionTree node walk) inside a
+///    loop body re-opens the per-row inference path; batch prediction must
+///    flow through the ml::ForestKernel-backed surfaces
+///    (RandomForestRegressor::PredictInto,
+///    GradientBoostedTrees::PredictProbaInto).
 ///    ParallelFor/ParallelMap callables count as loop bodies (the callable
 ///    runs once per item), so per-row calls hidden in a parallel lambda —
 ///    including in bench/ harnesses — are flagged too; deliberate scalar
