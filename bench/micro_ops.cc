@@ -182,6 +182,32 @@ void BM_RandomForestFit(benchmark::State& state) {
 BENCHMARK(BM_RandomForestFit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+void BM_ForestFitMetaShape(benchmark::State& state) {
+  // The forest PerformancePredictor::Train fits six times per call (final
+  // model plus five calibration folds): default options, 100 trees, on
+  // about 405 percentile-feature rows x 58 columns. Runs at the ambient
+  // BBV_THREADS.
+  common::Rng data_rng(12);
+  linalg::Matrix features(405, 58);
+  std::vector<double> targets(features.rows());
+  for (size_t i = 0; i < features.rows(); ++i) {
+    for (size_t j = 0; j < features.cols(); ++j) {
+      features.At(i, j) = data_rng.Uniform();
+    }
+    targets[i] = 0.5 * features.At(i, 0) + 0.3 * features.At(i, 7) +
+                 data_rng.Gaussian(0.0, 0.05);
+  }
+  for (auto _ : state) {
+    ml::RandomForestRegressor forest;
+    common::Rng rng(14);
+    BBV_CHECK(forest.Fit(features, targets, rng).ok());
+    benchmark::DoNotOptimize(forest);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(features.rows()));
+}
+BENCHMARK(BM_ForestFitMetaShape)->Unit(benchmark::kMillisecond);
+
 void BM_TelemetrySpanEnabled(benchmark::State& state) {
   // Cost of one TraceSpan + counter increment on the instrumented hot
   // paths when telemetry is on: two clock reads plus relaxed atomics.

@@ -4,8 +4,11 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <utility>
 
 #include "ml/feature_binning.h"
+#include "ml/feature_order.h"
 
 namespace bbv::ml {
 
@@ -33,24 +36,63 @@ struct SplitCandidate {
   double gain = 0.0;
 };
 
-/// Shared sorted view for the exact split searches: fills `points` with
-/// (feature value, payload) pairs over rows[begin, end), sorted ascending
-/// by value (payload order breaks ties, deterministically). Returns false
-/// when the feature is constant across the node, i.e. unsplittable — the
-/// single guard both the regression and the Gini search used to duplicate.
-template <typename Payload>
-bool FillSortedFeaturePoints(const linalg::Matrix& features,
-                             const std::vector<size_t>& rows, size_t begin,
-                             size_t end, size_t feature,
-                             const std::vector<Payload>& payload,
-                             std::vector<std::pair<double, Payload>>& points) {
-  points.clear();
-  for (size_t i = begin; i < end; ++i) {
-    points.emplace_back(features.At(rows[i], feature), payload[rows[i]]);
+}  // namespace
+
+/// Exact-search working set of one Fit, local to it and never kept in the
+/// tree: for every feature, the fit's row multiset in (value, target)
+/// order, feature f at [f * size, (f + 1) * size). Grow keeps the ids of
+/// node rows[begin, end) at [begin, end) of every feature, so a node scans
+/// its sorted segments and never sorts. A segment holds the node's
+/// (value, target) pairs in exactly the order sorting them would give
+/// (equal pairs are interchangeable), so the prefix sums, tie skips and
+/// thresholds of the scan are bit-identical to a per-node sort's.
+class SortedSegments {
+ public:
+  SortedSegments(std::vector<uint32_t> ids, size_t size,
+                 size_t num_matrix_rows)
+      : size_(size),
+        ids_(std::move(ids)),
+        goes_left_(num_matrix_rows),
+        scratch_(size) {}
+
+  /// The ids of `feature` from node position `begin` on.
+  const uint32_t* Segment(size_t feature, size_t begin) const {
+    return ids_.data() + feature * size_ + begin;
   }
-  std::sort(points.begin(), points.end());
-  return points.front().first < points.back().first;
-}
+
+  /// After rows[begin, end) was partitioned at `split`, stably partitions
+  /// [begin, end) of every feature the same way, so both children's
+  /// segments stay sorted. One goes-left byte per row, set once per split.
+  void Partition(const std::vector<size_t>& rows, size_t begin, size_t split,
+                 size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      goes_left_[rows[i]] = static_cast<uint8_t>(i < split);
+    }
+    for (size_t offset = 0; offset < ids_.size(); offset += size_) {
+      uint32_t* ids = ids_.data() + offset;
+      size_t left = begin;
+      size_t right = 0;
+      for (size_t i = begin; i < end; ++i) {
+        // Branch-free: the side is a coin flip the predictor cannot learn.
+        const uint32_t row = ids[i];
+        const size_t goes_left = goes_left_[row];
+        ids[left] = row;
+        scratch_[right] = row;
+        left += goes_left;
+        right += 1 - goes_left;
+      }
+      std::copy_n(scratch_.data(), right, ids + left);
+    }
+  }
+
+ private:
+  size_t size_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint8_t> goes_left_;
+  std::vector<uint32_t> scratch_;
+};
+
+namespace {
 
 /// Histogram split search for one feature of the node rows[begin, end):
 /// accumulates per-bin (count, target sum) in a single unsorted pass over
@@ -114,7 +156,8 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
                                    const std::vector<double>& targets,
                                    const std::vector<size_t>& rows,
                                    common::Rng& rng,
-                                   const FeatureBinning* binning) {
+                                   const FeatureBinning* binning,
+                                   const FeatureOrder* order) {
   if (features.rows() != targets.size()) {
     return common::Status::InvalidArgument(
         "features and targets disagree on the number of rows");
@@ -122,11 +165,19 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
   if (rows.empty()) {
     return common::Status::InvalidArgument("cannot fit a tree on zero rows");
   }
+  for (size_t row : rows) {
+    if (row >= features.rows()) {
+      return common::Status::InvalidArgument("row id out of range");
+    }
+    if (!std::isfinite(targets[row])) {
+      return common::Status::InvalidArgument("non-finite training target");
+    }
+  }
   FeatureBinning local_binning;
-  binning_ = nullptr;
+  std::optional<SortedSegments> segments;
   if (options_.binned_split_search) {
     if (binning == nullptr) {
-      local_binning = FeatureBinning::Build(features);
+      BBV_ASSIGN_OR_RETURN(local_binning, FeatureBinning::Build(features));
       binning = &local_binning;
     }
     if (binning->num_rows() != features.rows() ||
@@ -134,12 +185,26 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
       return common::Status::InvalidArgument(
           "feature binning does not match the training matrix shape");
     }
-    binning_ = binning;
+  } else if (order != nullptr) {
+    if (order->size() != features.rows() ||
+        order->num_features() != features.cols()) {
+      return common::Status::InvalidArgument(
+          "feature order does not match the training matrix shape");
+    }
+    segments.emplace(order->Expand(rows), rows.size(), features.rows());
+  } else {
+    BBV_ASSIGN_OR_RETURN(FeatureOrder local_order,
+                         FeatureOrder::Build(features, targets, rows));
+    segments.emplace(std::move(local_order).TakeIds(), rows.size(),
+                     features.rows());
   }
+  binning_ = options_.binned_split_search ? binning : nullptr;
+  segments_ = segments ? &*segments : nullptr;
   nodes_.clear();
   std::vector<size_t> mutable_rows = rows;
   Grow(features, targets, mutable_rows, 0, mutable_rows.size(), 0, rng);
   binning_ = nullptr;
+  segments_ = nullptr;
   return common::Status::OK();
 }
 
@@ -178,8 +243,6 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
   }
 
   SplitCandidate best;
-  std::vector<std::pair<double, double>> points;  // (feature value, target)
-  points.reserve(count);
   for (size_t feature :
        CandidateFeatures(features.cols(), options_.feature_fraction, rng)) {
     if (binning_ != nullptr) {
@@ -187,16 +250,18 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
                       options_.min_samples_leaf, best);
       continue;
     }
-    if (!FillSortedFeaturePoints(features, rows, begin, end, feature, targets,
-                                 points)) {
-      continue;
-    }
+    const uint32_t* ids = segments_->Segment(feature, begin);
+    double value = features.At(ids[0], feature);
+    if (!(value < features.At(ids[count - 1], feature))) continue;  // constant
     double left_sum = 0.0;
     double left_sum_squares = 0.0;
     for (size_t i = 0; i + 1 < count; ++i) {
-      left_sum += points[i].second;
-      left_sum_squares += points[i].second * points[i].second;
-      if (points[i].first == points[i + 1].first) continue;
+      const double target = targets[ids[i]];
+      left_sum += target;
+      left_sum_squares += target * target;
+      const double current = value;
+      value = features.At(ids[i + 1], feature);
+      if (current == value) continue;
       const size_t left_count = i + 1;
       const size_t right_count = count - left_count;
       if (left_count < options_.min_samples_leaf ||
@@ -214,7 +279,7 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
       if (gain > best.gain) {
         best.found = true;
         best.feature = feature;
-        best.threshold = 0.5 * (points[i].first + points[i + 1].first);
+        best.threshold = 0.5 * (current + value);
         best.gain = gain;
       }
     }
@@ -237,6 +302,10 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
     // value, sending every row to one side. Such a split is unusable — the
     // empty child's mean would be NaN — so keep this node as a leaf.
     return node_id;
+  }
+  // Children at max_depth are leaves and never scan their segments.
+  if (segments_ != nullptr && depth + 1 < options_.max_depth) {
+    segments_->Partition(rows, begin, split, end);
   }
 
   nodes_[node_id].feature = static_cast<int32_t>(best.feature);
@@ -295,11 +364,20 @@ common::Status DecisionTreeClassifier::Fit(const linalg::Matrix& features,
   if (num_classes < 2) {
     return common::Status::InvalidArgument("need at least two classes");
   }
+  // Class counts are exact integers, so the order inside a (value, label)
+  // tie cannot change them: the regression presort serves as is.
+  const std::vector<double> label_keys(labels.begin(), labels.end());
+  BBV_ASSIGN_OR_RETURN(FeatureOrder order,
+                       FeatureOrder::Build(features, label_keys));
+  SortedSegments segments(std::move(order).TakeIds(), features.rows(),
+                          features.rows());
   num_classes_ = num_classes;
   nodes_.clear();
   std::vector<size_t> rows(features.rows());
   std::iota(rows.begin(), rows.end(), 0);
+  segments_ = &segments;
   Grow(features, labels, rows, 0, rows.size(), 0, rng);
+  segments_ = nullptr;
   return common::Status::OK();
 }
 
@@ -331,22 +409,21 @@ int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
   }
 
   SplitCandidate best;
-  std::vector<std::pair<double, int>> points;  // (feature value, label)
-  points.reserve(count);
   std::vector<double> left_counts(m);
   for (size_t feature :
        CandidateFeatures(features.cols(), options_.feature_fraction, rng)) {
-    if (!FillSortedFeaturePoints(features, rows, begin, end, feature, labels,
-                                 points)) {
-      continue;
-    }
+    const uint32_t* ids = segments_->Segment(feature, begin);
+    double value = features.At(ids[0], feature);
+    if (!(value < features.At(ids[count - 1], feature))) continue;  // constant
     std::fill(left_counts.begin(), left_counts.end(), 0.0);
     double left_gini_sum = 0.0;  // sum of squared left counts
     for (size_t i = 0; i + 1 < count; ++i) {
-      double& c = left_counts[static_cast<size_t>(points[i].second)];
+      double& c = left_counts[static_cast<size_t>(labels[ids[i]])];
       left_gini_sum += 2.0 * c + 1.0;  // (c+1)^2 - c^2
       c += 1.0;
-      if (points[i].first == points[i + 1].first) continue;
+      const double current = value;
+      value = features.At(ids[i + 1], feature);
+      if (current == value) continue;
       const size_t left_count = i + 1;
       const size_t right_count = count - left_count;
       if (left_count < options_.min_samples_leaf ||
@@ -366,7 +443,7 @@ int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
       if (gain > best.gain) {
         best.found = true;
         best.feature = feature;
-        best.threshold = 0.5 * (points[i].first + points[i + 1].first);
+        best.threshold = 0.5 * (current + value);
         best.gain = gain;
       }
     }
@@ -382,7 +459,14 @@ int32_t DecisionTreeClassifier::Grow(const linalg::Matrix& features,
         return features.At(row, best.feature) <= best.threshold;
       });
   const size_t split = static_cast<size_t>(middle - rows.begin());
-  BBV_DCHECK(split > begin && split < end);
+  if (split == begin || split == end) {
+    // A midpoint rounded onto the larger value (see RegressionTree::Grow):
+    // the empty child's class frequencies would be NaN, so stay a leaf.
+    return node_id;
+  }
+  if (depth + 1 < options_.max_depth) {
+    segments_->Partition(rows, begin, split, end);
+  }
 
   nodes_[node_id].feature = static_cast<int32_t>(best.feature);
   nodes_[node_id].threshold = best.threshold;

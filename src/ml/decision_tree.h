@@ -15,6 +15,8 @@
 namespace bbv::ml {
 
 class FeatureBinning;
+class FeatureOrder;
+class SortedSegments;
 
 /// Shared tree-growing configuration.
 struct TreeOptions {
@@ -27,11 +29,13 @@ struct TreeOptions {
   double min_impurity_decrease = 1e-9;
   /// Opt-in histogram split search for RegressionTree: scan the uint8
   /// quantile-bin histograms of a FeatureBinning (built once per ensemble
-  /// Fit, or locally when the caller passes none) instead of re-sorting the
-  /// node's (value, target) pairs per feature per node. Thresholds are
-  /// restricted to the <= 255 per-feature cut values, so binned trees are a
-  /// (deterministic, thread-count independent) approximation of the exact
-  /// search; exact stays the default. Ignored by DecisionTreeClassifier.
+  /// Fit, or locally when the caller passes none) instead of the exact
+  /// search's presorted (value, target) segments, which it partitions at
+  /// every split. The histograms need no per-split partition and a node
+  /// scans at most 255 cuts per feature, but thresholds are restricted to
+  /// those cut values, so binned trees are a (deterministic, thread-count
+  /// independent) approximation of the exact search; exact stays the
+  /// default. Ignored by DecisionTreeClassifier.
   bool binned_split_search = false;
 };
 
@@ -53,15 +57,19 @@ class RegressionTree {
 
   explicit RegressionTree(TreeOptions options = {}) : options_(options) {}
 
-  /// Fits the tree on rows `rows` of `features` against `targets` (full
-  /// column, indexed by row id). When options.binned_split_search is set,
-  /// `binning` is the shared pre-binning of `features` (row-count and
-  /// feature-count matched); pass nullptr to have the tree build a local
-  /// one. `binning` is ignored by the exact (default) search.
+  /// Fits the tree on rows `rows` of `features` (ids may repeat, as in a
+  /// bootstrap sample) against `targets` (full column, indexed by row id).
+  /// When options.binned_split_search is set, `binning` is the shared
+  /// pre-binning of `features` (row-count and feature-count matched); pass
+  /// nullptr to have the tree build a local one. Otherwise `order` is the
+  /// shared FeatureOrder::Build(features, targets) of the same features and
+  /// targets; pass nullptr to have the tree sort its own rows once per
+  /// feature. InvalidArgument on a NaN or +-inf feature value or target.
   common::Status Fit(const linalg::Matrix& features,
                      const std::vector<double>& targets,
                      const std::vector<size_t>& rows, common::Rng& rng,
-                     const FeatureBinning* binning = nullptr);
+                     const FeatureBinning* binning = nullptr,
+                     const FeatureOrder* order = nullptr);
 
   /// Convenience: fit on all rows.
   common::Status Fit(const linalg::Matrix& features,
@@ -104,6 +112,9 @@ class RegressionTree {
   std::vector<Node> nodes_;
   /// Active only inside Fit when the binned search is enabled.
   const FeatureBinning* binning_ = nullptr;
+  /// Active only inside Fit when the exact search is enabled; points at
+  /// buffers local to that Fit.
+  SortedSegments* segments_ = nullptr;
 };
 
 /// CART classification tree (Gini splits, class-frequency leaves). Included
@@ -138,6 +149,8 @@ class DecisionTreeClassifier : public Classifier {
 
   TreeOptions options_;
   std::vector<Node> nodes_;
+  /// Active only inside Fit; points at buffers local to that Fit.
+  SortedSegments* segments_ = nullptr;
 };
 
 }  // namespace bbv::ml

@@ -8,7 +8,8 @@
 
 namespace bbv::ml {
 
-FeatureBinning FeatureBinning::Build(const linalg::Matrix& features) {
+common::Result<FeatureBinning> FeatureBinning::Build(
+    const linalg::Matrix& features) {
   const common::telemetry::TraceSpan span("feature_binning.build");
   common::telemetry::IncrementCounter("feature_binning.build.calls");
   FeatureBinning binning;
@@ -25,10 +26,10 @@ FeatureBinning FeatureBinning::Build(const linalg::Matrix& features) {
     for (size_t i = 0; i < rows; ++i) {
       const double value = features.At(i, f);
       // NaN breaks the strict weak ordering the sort and the lower_bound
-      // below rely on; binned training shares the repo-wide finiteness
-      // contract of the other numeric surfaces.
-      BBV_CHECK(std::isfinite(value))
-          << "FeatureBinning::Build on non-finite feature value";
+      // below rely on.
+      if (!std::isfinite(value)) {
+        return common::Status::InvalidArgument("non-finite feature value");
+      }
       sorted[i] = value;
     }
     std::sort(sorted.begin(), sorted.end());

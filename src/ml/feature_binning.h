@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "linalg/matrix.h"
 
 namespace bbv::ml {
@@ -14,13 +15,12 @@ namespace bbv::ml {
 /// cut value >= the cell's feature value. A split search can then
 /// accumulate per-bin (count, target-sum) histograms in one linear pass
 /// over the node's rows and scan at most 255 candidate thresholds, instead
-/// of re-sorting the node's (value, target) pairs for every feature at
-/// every node.
+/// of scanning the node's presorted (value, target) segments, which the
+/// exact search must partition at every split (see FeatureOrder).
 ///
 /// The binning is built once per ensemble Fit and shared read-only across
-/// all trees (and across the ParallelMap tree workers), so it adds one
-/// O(n d log n) pass to a fit that previously paid O(n log n) per feature
-/// per node.
+/// all trees (and across the ParallelMap tree workers): one O(n d log n)
+/// pass per fit.
 ///
 /// Correctness contract: cut values are actual feature values from the
 /// training column, and `code(v) <= b  <=>  v <= CutValue(f, b)` for every
@@ -41,7 +41,9 @@ class FeatureBinning {
 
   /// Builds the per-feature quantile grids and codes every cell of
   /// `features`. Deterministic: depends only on the matrix contents.
-  static FeatureBinning Build(const linalg::Matrix& features);
+  /// InvalidArgument on a NaN or +-inf value, which would break the
+  /// ordering the quantile grid and the codes rely on.
+  static common::Result<FeatureBinning> Build(const linalg::Matrix& features);
 
   bool empty() const { return num_rows_ == 0; }
   size_t num_rows() const { return num_rows_; }

@@ -46,12 +46,18 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
   const size_t sample_size = std::max<size_t>(
       2, static_cast<size_t>(options_.subsample * static_cast<double>(n)));
   // The binning depends only on the (round-invariant) feature matrix, so
-  // one build up front serves every boosting round and class.
+  // one build up front serves every boosting round and class. The exact
+  // search's order also depends on the targets, which change every round,
+  // so each tree sorts its own rows.
   FeatureBinning binning;
   const FeatureBinning* binning_ptr = nullptr;
   if (options_.tree.binned_split_search) {
-    binning = FeatureBinning::Build(features);
+    BBV_ASSIGN_OR_RETURN(binning, FeatureBinning::Build(features));
     binning_ptr = &binning;
+  } else if (!std::all_of(features.data().begin(), features.data().end(),
+                          [](double value) { return std::isfinite(value); })) {
+    // A round's tree checks only the rows its subsample draws.
+    return common::Status::InvalidArgument("non-finite feature value");
   }
   std::vector<double> gradients(n, 0.0);
   std::vector<double> round_predictions(n, 0.0);

@@ -1,11 +1,13 @@
 #include "ml/random_forest.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/parallel.h"
 #include "common/telemetry.h"
 #include "ml/feature_binning.h"
+#include "ml/feature_order.h"
 
 namespace bbv::ml {
 
@@ -34,13 +36,26 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
   // pre-forked stream, so the serialized ensemble is bit-identical at every
   // thread count.
   std::vector<common::Rng> tree_rngs = rng.ForkStreams(num_trees);
-  // One shared pre-binning per Fit (deterministic, read-only across the
-  // tree workers) when the histogram split search is enabled.
+  // One shared presort per Fit (deterministic, read-only across the tree
+  // workers): the pre-binning for the histogram split search, else the
+  // (value, target) order every tree's exact search starts from. Either
+  // build rejects a non-finite feature value.
   FeatureBinning binning;
+  FeatureOrder order;
   const FeatureBinning* binning_ptr = nullptr;
+  const FeatureOrder* order_ptr = nullptr;
   if (options_.tree.binned_split_search) {
-    binning = FeatureBinning::Build(features);
+    // The binning never reads the targets, and a bootstrap sample may miss
+    // any one row, so check them all here.
+    if (!std::all_of(targets.begin(), targets.end(),
+                     [](double target) { return std::isfinite(target); })) {
+      return common::Status::InvalidArgument("non-finite training target");
+    }
+    BBV_ASSIGN_OR_RETURN(binning, FeatureBinning::Build(features));
     binning_ptr = &binning;
+  } else {
+    BBV_ASSIGN_OR_RETURN(order, FeatureOrder::Build(features, targets));
+    order_ptr = &order;
   }
   trees_.clear();
   BBV_ASSIGN_OR_RETURN(
@@ -53,8 +68,8 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
               rows[i] = tree_rng.UniformInt(n);
             }
             RegressionTree tree(options_.tree);
-            BBV_RETURN_NOT_OK(
-                tree.Fit(features, targets, rows, tree_rng, binning_ptr));
+            BBV_RETURN_NOT_OK(tree.Fit(features, targets, rows, tree_rng,
+                                       binning_ptr, order_ptr));
             return tree;
           }));
   kernel_ = ForestKernel::Compile(trees_, options_.kernel);

@@ -291,7 +291,7 @@ TEST(ForestFastPathTest, FeatureBinningCodeCutContract) {
   common::Rng rng(53);
   for (size_t shape = 0; shape < kNumShapes; ++shape) {
     const linalg::Matrix features = MakeShapeMatrix(700, 3, shape, rng);
-    const FeatureBinning binning = FeatureBinning::Build(features);
+    const FeatureBinning binning = FeatureBinning::Build(features).value();
     ASSERT_EQ(binning.num_rows(), features.rows());
     ASSERT_EQ(binning.num_features(), features.cols());
     for (size_t f = 0; f < features.cols(); ++f) {
