@@ -1,13 +1,15 @@
 // Google-benchmark micro-benchmarks for the hot operations inside the
 // validation layer (not a paper figure): output-percentile featurization,
-// hypothesis tests, forest inference, corruption generators and the feature
-// pipeline. These bound the serving-time overhead of deploying a
-// performance predictor next to a model.
+// hypothesis tests, forest inference, corruption generators, the feature
+// pipeline and the serving sketch's quantile, save and load. These bound
+// the serving-time overhead of deploying a performance predictor next to a
+// model.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "ml/forest_kernel.h"
 #include "ml/random_forest.h"
 #include "stats/hypothesis.h"
+#include "stats/quantile_sketch.h"
 
 namespace bbv::bench {
 namespace {
@@ -46,6 +49,51 @@ void BM_PredictionStatistics(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PredictionStatistics)->Arg(1000)->Arg(10000);
+
+/// One default-grid (12-bit) sketch over `rows` uniform values: 100 rows
+/// fill 98 cells, 1000 rows about 830 and 100k rows the whole grid.
+stats::QuantileSketch SketchOfRows(int64_t rows) {
+  common::Rng rng(2);
+  stats::QuantileSketch sketch;
+  for (int64_t i = 0; i < rows; ++i) sketch.Add(rng.Uniform());
+  return sketch;
+}
+
+std::string SketchBytes(const stats::QuantileSketch& sketch) {
+  std::ostringstream out;
+  BBV_CHECK(sketch.Save(out).ok());
+  return out.str();
+}
+
+void BM_SketchQuantiles(benchmark::State& state) {
+  const stats::QuantileSketch sketch = SketchOfRows(state.range(0));
+  const std::vector<double> points = core::DefaultPercentilePoints();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sketch.Quantiles(points));
+  }
+  state.counters["nonzero_cells"] =
+      static_cast<double>(sketch.num_nonzero_cells());
+}
+BENCHMARK(BM_SketchQuantiles)->Arg(100)->Arg(1000)->Arg(100000);
+
+void BM_SketchSave(benchmark::State& state) {
+  const stats::QuantileSketch sketch = SketchOfRows(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SketchBytes(sketch));
+  }
+}
+BENCHMARK(BM_SketchSave)->Arg(100)->Arg(1000)->Arg(100000);
+
+void BM_SketchLoad(benchmark::State& state) {
+  const std::string bytes = SketchBytes(SketchOfRows(state.range(0)));
+  for (auto _ : state) {
+    std::istringstream in(bytes);
+    auto loaded = stats::QuantileSketch::Load(in);
+    BBV_CHECK(loaded.ok());
+    benchmark::DoNotOptimize(loaded->count());
+  }
+}
+BENCHMARK(BM_SketchLoad)->Arg(100)->Arg(1000)->Arg(100000);
 
 void BM_TwoSampleKsTest(benchmark::State& state) {
   common::Rng rng(2);

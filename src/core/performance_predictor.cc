@@ -280,11 +280,10 @@ constexpr char kPredictorMagic[] = "BBVPP";
 constexpr uint32_t kPredictorVersion = 3;
 }  // namespace
 
-common::Status PerformancePredictor::Save(std::ostream& out) const {
+common::Status PerformancePredictor::Save(common::BinaryWriter& writer) const {
   if (!trained_) {
     return common::Status::FailedPrecondition("Save before Train");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kPredictorMagic, kPredictorVersion);
   writer.WriteInt32(static_cast<int32_t>(options_.metric));
   writer.WriteDouble(test_score_);
@@ -297,15 +296,24 @@ common::Status PerformancePredictor::Save(std::ostream& out) const {
   // multisets — e.g. the same train at different BBV_THREADS — serialize
   // byte-identically.
   calibrator_.Save(writer);
-  BBV_RETURN_NOT_OK(writer.status());
   // Chain the forest's archive core onto the open writer; the bytes are
   // identical to the pre-redesign nested stream Save.
   return regressor_.Save(writer);
 }
 
+common::Status PerformancePredictor::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
+}
+
 common::Result<PerformancePredictor> PerformancePredictor::Load(
     std::istream& in) {
-  common::BinaryReader reader(in);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+common::Result<PerformancePredictor> PerformancePredictor::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kPredictorMagic, kPredictorVersion));
   BBV_ASSIGN_OR_RETURN(int32_t metric, reader.ReadInt32());
   if (metric < 0 || metric > static_cast<int32_t>(ScoreMetric::kRocAuc)) {

@@ -196,7 +196,10 @@ class PerformancePredictor {
   /// metric, reference test score and conformal calibration state) so it
   /// can be deployed next to a serving system and reloaded without
   /// retraining.
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<PerformancePredictor> Load(
+      common::BinaryReader& reader);
   static common::Result<PerformancePredictor> Load(std::istream& in);
 
  private:

@@ -294,11 +294,10 @@ constexpr char kValidatorMagic[] = "BBVPV";
 constexpr uint32_t kValidatorVersion = 1;
 }  // namespace
 
-common::Status PerformanceValidator::Save(std::ostream& out) const {
+common::Status PerformanceValidator::Save(common::BinaryWriter& writer) const {
   if (!trained_) {
     return common::Status::FailedPrecondition("Save before Train");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kValidatorMagic, kValidatorVersion);
   writer.WriteDouble(options_.threshold);
   writer.WriteInt32(static_cast<int32_t>(options_.metric));
@@ -312,17 +311,26 @@ common::Status PerformanceValidator::Save(std::ostream& out) const {
   writer.WriteUint64(test_probabilities_.rows());
   writer.WriteUint64(test_probabilities_.cols());
   writer.WriteDoubleVector(test_probabilities_.data());
-  BBV_RETURN_NOT_OK(writer.status());
-  BBV_RETURN_NOT_OK(predictor_.Save(out));
+  BBV_RETURN_NOT_OK(predictor_.Save(writer));
   if (!degenerate_) {
-    BBV_RETURN_NOT_OK(decision_model_.Save(out));
+    BBV_RETURN_NOT_OK(decision_model_.Save(writer));
   }
-  return writer.status();
+  return common::Status::OK();
+}
+
+common::Status PerformanceValidator::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<PerformanceValidator> PerformanceValidator::Load(
     std::istream& in) {
-  common::BinaryReader reader(in);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+common::Result<PerformanceValidator> PerformanceValidator::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kValidatorMagic, kValidatorVersion));
   Options options;
   BBV_ASSIGN_OR_RETURN(options.threshold, reader.ReadDouble());
@@ -359,10 +367,10 @@ common::Result<PerformanceValidator> PerformanceValidator::Load(
   validator.test_probabilities_ =
       linalg::Matrix(rows, cols, std::move(values));
   BBV_ASSIGN_OR_RETURN(validator.predictor_,
-                       PerformancePredictor::Load(in));
+                       PerformancePredictor::Load(reader));
   if (!validator.degenerate_) {
     BBV_ASSIGN_OR_RETURN(validator.decision_model_,
-                         ml::GradientBoostedTrees::Load(in));
+                         ml::GradientBoostedTrees::Load(reader));
   }
   validator.trained_ = true;
   return validator;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/serialize.h"
 #include "common/rng.h"
 #include "core/performance_predictor.h"
 #include "data/dataset.h"
@@ -88,6 +89,11 @@ class PerformanceValidator {
   bool trained() const { return trained_; }
 
  private:
+  /// Archive cores of the stream overloads.
+  common::Status Save(common::BinaryWriter& writer) const;
+  static common::Result<PerformanceValidator> Load(
+      common::BinaryReader& reader);
+
   /// Feature vector: percentiles + per-class KS statistic/p-value against
   /// the retained test outputs + internal predictor estimate.
   std::vector<double> BuildFeatures(const linalg::Matrix& probabilities) const;

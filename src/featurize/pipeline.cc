@@ -95,11 +95,10 @@ constexpr char kPipelineMagic[] = "BBVFP";
 constexpr uint32_t kPipelineVersion = 1;
 }  // namespace
 
-common::Status FeaturePipeline::Save(std::ostream& out) const {
+common::Status FeaturePipeline::Save(common::BinaryWriter& writer) const {
   if (!fitted_) {
     return common::Status::FailedPrecondition("Save before Fit");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kPipelineMagic, kPipelineVersion);
   writer.WriteUint64(transformers_.size());
   for (size_t col = 0; col < transformers_.size(); ++col) {
@@ -123,11 +122,21 @@ common::Status FeaturePipeline::Save(std::ostream& out) const {
         break;
     }
   }
-  return writer.status();
+  return common::Status::OK();
+}
+
+common::Status FeaturePipeline::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<FeaturePipeline> FeaturePipeline::Load(std::istream& in) {
-  common::BinaryReader reader(in);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+common::Result<FeaturePipeline> FeaturePipeline::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kPipelineMagic, kPipelineVersion));
   BBV_ASSIGN_OR_RETURN(uint64_t count, reader.ReadUint64());
   if (count == 0 || count > 100'000) {

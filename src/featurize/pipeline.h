@@ -45,7 +45,10 @@ class FeaturePipeline {
   bool fitted() const { return fitted_; }
 
   /// Persists the fitted pipeline (per-column transformer state).
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<FeaturePipeline> Load(
+      common::BinaryReader& reader);
   static common::Result<FeaturePipeline> Load(std::istream& in);
 
  private:

@@ -48,29 +48,37 @@ constexpr char kBlackBoxMagic[] = "BBVBB";
 constexpr uint32_t kBlackBoxVersion = 1;
 }  // namespace
 
-common::Status BlackBoxModel::Save(std::ostream& out) const {
+common::Status BlackBoxModel::Save(common::BinaryWriter& writer) const {
   if (!trained_) {
     return common::Status::FailedPrecondition("Save before Train");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kBlackBoxMagic, kBlackBoxVersion);
-  BBV_RETURN_NOT_OK(writer.status());
-  BBV_RETURN_NOT_OK(pipeline_.Save(out));
-  return SaveClassifier(*classifier_, out);
+  BBV_RETURN_NOT_OK(pipeline_.Save(writer));
+  return SaveClassifier(*classifier_, writer);
+}
+
+common::Status BlackBoxModel::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<std::unique_ptr<BlackBoxModel>> BlackBoxModel::Load(
-    std::istream& in) {
-  common::BinaryReader reader(in);
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kBlackBoxMagic, kBlackBoxVersion));
   BBV_ASSIGN_OR_RETURN(featurize::FeaturePipeline pipeline,
-                       featurize::FeaturePipeline::Load(in));
+                       featurize::FeaturePipeline::Load(reader));
   BBV_ASSIGN_OR_RETURN(std::unique_ptr<Classifier> classifier,
-                       LoadClassifier(in));
+                       LoadClassifier(reader));
   auto model = std::make_unique<BlackBoxModel>(std::move(classifier));
   model->pipeline_ = std::move(pipeline);
   model->trained_ = true;
   return model;
+}
+
+common::Result<std::unique_ptr<BlackBoxModel>> BlackBoxModel::Load(
+    std::istream& in) {
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
 }
 
 }  // namespace bbv::ml

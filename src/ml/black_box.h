@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "common/serialize.h"
 #include "data/dataframe.h"
 #include "data/dataset.h"
 #include "featurize/pipeline.h"
@@ -66,6 +67,11 @@ class BlackBoxModel : public BlackBox {
   static common::Result<std::unique_ptr<BlackBoxModel>> Load(std::istream& in);
 
  private:
+  /// Archive cores of the stream overloads.
+  common::Status Save(common::BinaryWriter& writer) const;
+  static common::Result<std::unique_ptr<BlackBoxModel>> Load(
+      common::BinaryReader& reader);
+
   featurize::FeaturePipeline pipeline_;
   std::unique_ptr<Classifier> classifier_;
   bool trained_ = false;

@@ -388,11 +388,10 @@ constexpr char kConvMagic[] = "BBVCV";
 constexpr uint32_t kConvVersion = 1;
 }  // namespace
 
-common::Status ConvNet::Save(std::ostream& out) const {
+common::Status ConvNet::Save(common::BinaryWriter& writer) const {
   if (!fitted_) {
     return common::Status::FailedPrecondition("Save before Fit");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kConvMagic, kConvVersion);
   writer.WriteInt32(num_classes_);
   writer.WriteUint64(side_);
@@ -407,11 +406,21 @@ common::Status ConvNet::Save(std::ostream& out) const {
   writer.WriteDoubleVector(dense_bias_);
   writer.WriteDoubleVector(out_weights_);
   writer.WriteDoubleVector(out_bias_);
-  return writer.status();
+  return common::Status::OK();
+}
+
+common::Status ConvNet::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<ConvNet> ConvNet::Load(std::istream& in) {
-  common::BinaryReader reader(in);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+common::Result<ConvNet> ConvNet::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kConvMagic, kConvVersion));
   int32_t num_classes = 0;
   uint64_t side = 0;

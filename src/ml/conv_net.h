@@ -46,7 +46,10 @@ class ConvNet : public Classifier {
   std::string Name() const override { return "conv"; }
 
   /// Persists the fitted network (architecture + parameters).
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<ConvNet> Load(
+      common::BinaryReader& reader);
   static common::Result<ConvNet> Load(std::istream& in);
 
  private:

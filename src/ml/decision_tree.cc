@@ -586,11 +586,11 @@ constexpr char kCartMagic[] = "BBVCT";
 constexpr uint32_t kCartVersion = 1;
 }  // namespace
 
-common::Status DecisionTreeClassifier::Save(std::ostream& out) const {
+common::Status DecisionTreeClassifier::Save(
+    common::BinaryWriter& writer) const {
   if (nodes_.empty()) {
     return common::Status::FailedPrecondition("Save before Fit");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kCartMagic, kCartVersion);
   writer.WriteInt32(num_classes_);
   writer.WriteUint64(nodes_.size());
@@ -601,17 +601,29 @@ common::Status DecisionTreeClassifier::Save(std::ostream& out) const {
     writer.WriteInt32(node.right);
     writer.WriteDoubleVector(node.class_probabilities);
   }
-  return writer.status();
+  return common::Status::OK();
+}
+
+common::Status DecisionTreeClassifier::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<DecisionTreeClassifier> DecisionTreeClassifier::Load(
     std::istream& in) {
-  common::BinaryReader reader(in);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+common::Result<DecisionTreeClassifier> DecisionTreeClassifier::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kCartMagic, kCartVersion));
   DecisionTreeClassifier tree;
   BBV_ASSIGN_OR_RETURN(tree.num_classes_, reader.ReadInt32());
   BBV_ASSIGN_OR_RETURN(uint64_t count, reader.ReadUint64());
-  if (tree.num_classes_ < 2 || count == 0 || count > 100'000'000) {
+  // A node takes at least 28 bytes (feature, threshold, two children and
+  // a payload length), so a count the bytes left cannot hold is corrupt.
+  if (tree.num_classes_ < 2 || count == 0 || count > reader.remaining() / 28) {
     return common::Status::InvalidArgument("corrupt tree header");
   }
   tree.nodes_.resize(count);

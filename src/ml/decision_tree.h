@@ -131,7 +131,10 @@ class DecisionTreeClassifier : public Classifier {
   std::string Name() const override { return "cart"; }
 
   /// Persists the fitted tree; Load restores bit-identical inference.
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<DecisionTreeClassifier> Load(
+      common::BinaryReader& reader);
   static common::Result<DecisionTreeClassifier> Load(std::istream& in);
 
  private:

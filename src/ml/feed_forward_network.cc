@@ -199,11 +199,10 @@ constexpr char kDnnMagic[] = "BBVNN";
 constexpr uint32_t kDnnVersion = 1;
 }  // namespace
 
-common::Status FeedForwardNetwork::Save(std::ostream& out) const {
+common::Status FeedForwardNetwork::Save(common::BinaryWriter& writer) const {
   if (!fitted_) {
     return common::Status::FailedPrecondition("Save before Fit");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kDnnMagic, kDnnVersion);
   writer.WriteInt32(num_classes_);
   writer.WriteUint64(layers_.size());
@@ -211,12 +210,21 @@ common::Status FeedForwardNetwork::Save(std::ostream& out) const {
     linalg::WriteMatrix(writer, layer.weights);
     writer.WriteDoubleVector(layer.bias);
   }
-  return writer.status();
+  return common::Status::OK();
+}
+
+common::Status FeedForwardNetwork::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
+}
+
+common::Result<FeedForwardNetwork> FeedForwardNetwork::Load(std::istream& in) {
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
 }
 
 common::Result<FeedForwardNetwork> FeedForwardNetwork::Load(
-    std::istream& in) {
-  common::BinaryReader reader(in);
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kDnnMagic, kDnnVersion));
   FeedForwardNetwork model;
   BBV_ASSIGN_OR_RETURN(model.num_classes_, reader.ReadInt32());

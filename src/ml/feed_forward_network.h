@@ -35,7 +35,10 @@ class FeedForwardNetwork : public Classifier {
 
   /// Persists the fitted layers (weights and biases; optimizer state is not
   /// needed for inference).
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<FeedForwardNetwork> Load(
+      common::BinaryReader& reader);
   static common::Result<FeedForwardNetwork> Load(std::istream& in);
 
  private:

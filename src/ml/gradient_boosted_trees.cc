@@ -138,11 +138,10 @@ common::Status GradientBoostedTrees::Save(common::BinaryWriter& writer) const {
   writer.WriteDouble(options_.learning_rate);
   writer.WriteDoubleVector(base_scores_);
   writer.WriteUint64(trees_.size());
-  BBV_RETURN_NOT_OK(writer.status());
   for (const RegressionTree& tree : trees_) {
     tree.Save(writer);
   }
-  return writer.status();
+  return common::Status::OK();
 }
 
 common::Result<GradientBoostedTrees> GradientBoostedTrees::Load(
@@ -176,14 +175,14 @@ common::Result<GradientBoostedTrees> GradientBoostedTrees::Load(
 }
 
 common::Status GradientBoostedTrees::Save(std::ostream& out) const {
-  common::BinaryWriter writer(out);
-  return Save(writer);
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<GradientBoostedTrees> GradientBoostedTrees::Load(
     std::istream& in) {
-  common::BinaryReader reader(in);
-  return Load(reader);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
 }
 
 }  // namespace bbv::ml

@@ -18,66 +18,77 @@ constexpr uint32_t kEnvelopeVersion = 1;
 }  // namespace
 
 common::Status SaveClassifier(const Classifier& classifier,
-                              std::ostream& out) {
-  common::BinaryWriter writer(out);
+                              common::BinaryWriter& writer) {
   writer.WriteMagic(kEnvelopeMagic, kEnvelopeVersion);
   const std::string tag = classifier.Name();
   writer.WriteString(tag);
-  BBV_RETURN_NOT_OK(writer.status());
   if (tag == "lr") {
-    return static_cast<const SgdLogisticRegression&>(classifier).Save(out);
+    return static_cast<const SgdLogisticRegression&>(classifier).Save(writer);
   }
   if (tag == "dnn") {
-    return static_cast<const FeedForwardNetwork&>(classifier).Save(out);
+    return static_cast<const FeedForwardNetwork&>(classifier).Save(writer);
   }
   if (tag == "xgb") {
-    return static_cast<const GradientBoostedTrees&>(classifier).Save(out);
+    return static_cast<const GradientBoostedTrees&>(classifier).Save(writer);
   }
   if (tag == "cart") {
-    return static_cast<const DecisionTreeClassifier&>(classifier).Save(out);
+    return static_cast<const DecisionTreeClassifier&>(classifier).Save(writer);
   }
   if (tag == "conv") {
-    return static_cast<const ConvNet&>(classifier).Save(out);
+    return static_cast<const ConvNet&>(classifier).Save(writer);
   }
   return common::Status::NotImplemented("no serializer for classifier '" +
                                         tag + "'");
 }
 
-common::Result<std::unique_ptr<Classifier>> LoadClassifier(std::istream& in) {
-  common::BinaryReader reader(in);
+common::Status SaveClassifier(const Classifier& classifier,
+                              std::ostream& out) {
+  return common::SaveToStream(out, [&](common::BinaryWriter& writer) {
+    return SaveClassifier(classifier, writer);
+  });
+}
+
+common::Result<std::unique_ptr<Classifier>> LoadClassifier(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kEnvelopeMagic, kEnvelopeVersion));
   BBV_ASSIGN_OR_RETURN(std::string tag, reader.ReadString());
   if (tag == "lr") {
     BBV_ASSIGN_OR_RETURN(SgdLogisticRegression model,
-                         SgdLogisticRegression::Load(in));
+                         SgdLogisticRegression::Load(reader));
     return std::unique_ptr<Classifier>(
         std::make_unique<SgdLogisticRegression>(std::move(model)));
   }
   if (tag == "dnn") {
     BBV_ASSIGN_OR_RETURN(FeedForwardNetwork model,
-                         FeedForwardNetwork::Load(in));
+                         FeedForwardNetwork::Load(reader));
     return std::unique_ptr<Classifier>(
         std::make_unique<FeedForwardNetwork>(std::move(model)));
   }
   if (tag == "xgb") {
     BBV_ASSIGN_OR_RETURN(GradientBoostedTrees model,
-                         GradientBoostedTrees::Load(in));
+                         GradientBoostedTrees::Load(reader));
     return std::unique_ptr<Classifier>(
         std::make_unique<GradientBoostedTrees>(std::move(model)));
   }
   if (tag == "cart") {
     BBV_ASSIGN_OR_RETURN(DecisionTreeClassifier model,
-                         DecisionTreeClassifier::Load(in));
+                         DecisionTreeClassifier::Load(reader));
     return std::unique_ptr<Classifier>(
         std::make_unique<DecisionTreeClassifier>(std::move(model)));
   }
   if (tag == "conv") {
-    BBV_ASSIGN_OR_RETURN(ConvNet model, ConvNet::Load(in));
+    BBV_ASSIGN_OR_RETURN(ConvNet model, ConvNet::Load(reader));
     return std::unique_ptr<Classifier>(
         std::make_unique<ConvNet>(std::move(model)));
   }
   return common::Status::InvalidArgument("unknown classifier tag '" + tag +
                                          "'");
+}
+
+common::Result<std::unique_ptr<Classifier>> LoadClassifier(std::istream& in) {
+  return common::LoadFromStream(in, [](common::BinaryReader& reader) {
+    return LoadClassifier(reader);
+  });
 }
 
 }  // namespace bbv::ml

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/result.h"
+#include "common/serialize.h"
 #include "common/status.h"
 #include "ml/classifier.h"
 
@@ -15,9 +16,13 @@ namespace bbv::ml {
 /// so a stream can be reloaded without knowing the concrete type.
 /// Supported for every classifier in the zoo.
 common::Status SaveClassifier(const Classifier& classifier,
+                              common::BinaryWriter& writer);
+common::Status SaveClassifier(const Classifier& classifier,
                               std::ostream& out);
 
 /// Reloads a classifier written by SaveClassifier.
+common::Result<std::unique_ptr<Classifier>> LoadClassifier(
+    common::BinaryReader& reader);
 common::Result<std::unique_ptr<Classifier>> LoadClassifier(std::istream& in);
 
 }  // namespace bbv::ml

@@ -112,7 +112,7 @@ common::Status RandomForestRegressor::Save(common::BinaryWriter& writer) const {
   for (const RegressionTree& tree : trees_) {
     tree.Save(writer);
   }
-  return writer.status();
+  return common::Status::OK();
 }
 
 common::Result<RandomForestRegressor> RandomForestRegressor::Load(
@@ -133,14 +133,14 @@ common::Result<RandomForestRegressor> RandomForestRegressor::Load(
 }
 
 common::Status RandomForestRegressor::Save(std::ostream& out) const {
-  common::BinaryWriter writer(out);
-  return Save(writer);
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<RandomForestRegressor> RandomForestRegressor::Load(
     std::istream& in) {
-  common::BinaryReader reader(in);
-  return Load(reader);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
 }
 
 }  // namespace bbv::ml

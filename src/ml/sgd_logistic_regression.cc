@@ -118,21 +118,30 @@ constexpr char kLrMagic[] = "BBVLR";
 constexpr uint32_t kLrVersion = 1;
 }  // namespace
 
-common::Status SgdLogisticRegression::Save(std::ostream& out) const {
+common::Status SgdLogisticRegression::Save(common::BinaryWriter& writer) const {
   if (!fitted_) {
     return common::Status::FailedPrecondition("Save before Fit");
   }
-  common::BinaryWriter writer(out);
   writer.WriteMagic(kLrMagic, kLrVersion);
   writer.WriteInt32(num_classes_);
   linalg::WriteMatrix(writer, weights_);
   writer.WriteDoubleVector(bias_);
-  return writer.status();
+  return common::Status::OK();
+}
+
+common::Status SgdLogisticRegression::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
 }
 
 common::Result<SgdLogisticRegression> SgdLogisticRegression::Load(
     std::istream& in) {
-  common::BinaryReader reader(in);
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+common::Result<SgdLogisticRegression> SgdLogisticRegression::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kLrMagic, kLrVersion));
   SgdLogisticRegression model;
   BBV_ASSIGN_OR_RETURN(model.num_classes_, reader.ReadInt32());

@@ -42,7 +42,10 @@ class SgdLogisticRegression : public Classifier {
   const std::vector<double>& bias() const { return bias_; }
 
   /// Persists the fitted weights; Load restores bit-identical inference.
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<SgdLogisticRegression> Load(
+      common::BinaryReader& reader);
   static common::Result<SgdLogisticRegression> Load(std::istream& in);
 
  private:

@@ -175,8 +175,17 @@ common::Status StreamingScorer::SaveState(std::ostream& out) const {
 }
 
 common::Status StreamingScorer::LoadState(std::istream& in) {
+  return common::LoadFromStream(
+      in, [this](common::BinaryReader& reader) { return LoadState(reader); });
+}
+
+common::Status StreamingScorer::LoadState(common::BinaryReader& reader) {
   BBV_ASSIGN_OR_RETURN(stats::QuantileSketchBank bank,
-                       stats::QuantileSketchBank::Load(in));
+                       stats::QuantileSketchBank::Load(reader));
+  return RestoreState(std::move(bank));
+}
+
+common::Status StreamingScorer::RestoreState(stats::QuantileSketchBank bank) {
   // The state must be queryable on this scorer's grid: a bank sketched at a
   // different resolution or domain answers quantile queries on a different
   // lattice, silently breaking the byte-identity contract with the scorer

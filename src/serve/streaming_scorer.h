@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/serialize.h"
 #include "core/performance_predictor.h"
 #include "data/dataframe.h"
 #include "linalg/matrix.h"
@@ -139,10 +140,14 @@ class StreamingScorer {
   /// disagrees with the predictor's trained feature dimension. A
   /// SaveState -> LoadState -> SaveState round-trip is byte-identical.
   common::Status LoadState(std::istream& in);
+  /// Replaces the sketch state with `bank`, under LoadState's checks.
+  common::Status RestoreState(stats::QuantileSketchBank bank);
 
  private:
   StreamingScorer(std::shared_ptr<const core::PerformancePredictor> predictor,
                   Options options);
+  /// Archive core of the stream LoadState.
+  common::Status LoadState(common::BinaryReader& reader);
 
   std::shared_ptr<const core::PerformancePredictor> predictor_;
   Options options_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -343,13 +342,10 @@ common::Status ValidatorService::SaveTenantState(const std::string& model_id,
   if (it->second.scorer.has_value()) {
     return it->second.scorer->SaveState(out);
   }
-  // Evicted: the cold store already holds the canonical SaveState bytes.
-  out.write(it->second.cold_state.data(),
-            static_cast<std::streamsize>(it->second.cold_state.size()));
-  if (!out.good()) {
-    return common::Status::Internal("failed to write tenant state");
-  }
-  return common::Status::OK();
+  // Evicted: the bank unpacked from the cold store saves the same bytes.
+  BBV_ASSIGN_OR_RETURN(stats::QuantileSketchBank bank,
+                       UnpackColdState(it->second));
+  return bank.Save(out);
 }
 
 common::Result<ValidatorService::TenantInfo> ValidatorService::GetTenantInfo(
@@ -399,13 +395,22 @@ common::Status ValidatorService::EnsureResident(Tenant& tenant) {
   BBV_ASSIGN_OR_RETURN(
       StreamingScorer scorer,
       StreamingScorer::Create(tenant.predictor, tenant.options.scorer));
-  std::istringstream in(tenant.cold_state);
-  BBV_RETURN_NOT_OK(scorer.LoadState(in));
+  BBV_ASSIGN_OR_RETURN(stats::QuantileSketchBank bank,
+                       UnpackColdState(tenant));
+  BBV_RETURN_NOT_OK(scorer.RestoreState(std::move(bank)));
   tenant.scorer.emplace(std::move(scorer));
   tenant.cold_state.clear();
   tenant.cold_state.shrink_to_fit();
   common::telemetry::IncrementCounter("serve.service.rehydrations");
   return common::Status::OK();
+}
+
+common::Result<stats::QuantileSketchBank> ValidatorService::UnpackColdState(
+    const Tenant& tenant) {
+  stats::QuantileSketch::Options grid;
+  grid.resolution_bits = tenant.options.scorer.resolution_bits;
+  common::BinaryReader reader(tenant.cold_state);
+  return stats::QuantileSketchBank::Unpack(reader, grid);
 }
 
 void ValidatorService::EnforceResidencyCap() {
@@ -426,16 +431,10 @@ void ValidatorService::EnforceResidencyCap() {
       return;
     }
     Tenant& tenant = coldest->second;
-    std::ostringstream out;
-    const common::Status saved = tenant.scorer->SaveState(out);
-    if (!saved.ok()) {
-      // Never drop state we failed to serialize; leave the tenant resident
-      // (the cap is a memory target, not a correctness invariant).
-      common::telemetry::IncrementCounter("serve.service.evict_failures");
-      return;
-    }
+    evict_writer_.Clear();
+    tenant.scorer->bank().Pack(evict_writer_);
     tenant.cold_rows = tenant.scorer->rows_ingested();
-    tenant.cold_state = std::move(out).str();
+    tenant.cold_state = std::string(evict_writer_.bytes());
     tenant.scorer.reset();
     if (tenant.window.has_value()) {
       // Epoch-boundary contract: a window must not straddle an eviction

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -19,6 +21,9 @@ constexpr uint32_t kSketchVersion = 1;
 constexpr char kBankMagic[] = "BBVQB";
 constexpr uint32_t kBankVersion = 1;
 constexpr int kMaxResolutionBits = 24;
+/// Bytes of a serialized sketch with no cells: magic, version, resolution,
+/// domain, total and cell count.
+constexpr size_t kMinSketchBytes = 5 + 4 + 4 + 8 + 8 + 8 + 8;
 
 bool GridsMatch(const QuantileSketch::Options& a,
                 const QuantileSketch::Options& b) {
@@ -38,6 +43,7 @@ QuantileSketch::QuantileSketch(Options options) : options_(options) {
             options_.lo < options_.hi)
       << "sketch domain must be a finite non-empty interval";
   cells_.assign((size_t{1} << options_.resolution_bits) + 1, 0);
+  blocks_.assign((cells_.size() + kBlockCells - 1) / kBlockCells, 0);
 }
 
 size_t QuantileSketch::CellIndex(double value, const Options& options) {
@@ -60,6 +66,7 @@ size_t QuantileSketch::Add(double value, uint64_t weight) {
   BBV_CHECK(std::isfinite(value)) << "QuantileSketch::Add of NaN/Inf";
   const size_t cell = CellIndex(value, options_);
   cells_[cell] += weight;
+  blocks_[cell / kBlockCells] += weight;
   count_ += weight;
   return cell;
 }
@@ -70,7 +77,10 @@ common::Status QuantileSketch::AddCells(std::span<const uint32_t> cells) {
       return common::Status::InvalidArgument("cell index off the grid");
     }
   }
-  for (const uint32_t cell : cells) ++cells_[cell];
+  for (const uint32_t cell : cells) {
+    ++cells_[cell];
+    ++blocks_[cell / kBlockCells];
+  }
   count_ += cells.size();
   return common::Status::OK();
 }
@@ -80,11 +90,15 @@ common::Status QuantileSketch::RemoveCells(std::span<const uint32_t> cells) {
     const uint32_t cell = cells[i];
     if (cell < cells_.size() && cells_[cell] > 0) {
       --cells_[cell];
+      --blocks_[cell / kBlockCells];
       continue;
     }
     // Put back what this call already took so a rejection leaves the
     // sketch unchanged.
-    for (size_t j = 0; j < i; ++j) ++cells_[cells[j]];
+    for (size_t j = 0; j < i; ++j) {
+      ++cells_[cells[j]];
+      ++blocks_[cells[j] / kBlockCells];
+    }
     return common::Status::InvalidArgument(
         cell < cells_.size() ? "removing more than a sketch cell holds"
                              : "cell index off the grid");
@@ -99,8 +113,13 @@ common::Status QuantileSketch::Merge(const QuantileSketch& other) {
         "QuantileSketch::Merge requires identical grids (resolution and "
         "domain)");
   }
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i] += other.cells_[i];
+  for (size_t block = 0; block < blocks_.size(); ++block) {
+    if (other.blocks_[block] == 0) continue;
+    blocks_[block] += other.blocks_[block];
+    const size_t end = BlockEnd(block);
+    for (size_t cell = block * kBlockCells; cell < end; ++cell) {
+      cells_[cell] += other.cells_[cell];
+    }
   }
   count_ += other.count_;
   return common::Status::OK();
@@ -136,22 +155,43 @@ std::vector<double> QuantileSketch::Quantiles(
         position - static_cast<double>(queries[i].lower_rank);
   }
   // One cumulative pass resolves every needed order statistic: rank r lives
-  // in the first cell whose inclusive cumulative weight exceeds r.
+  // in the first cell whose inclusive cumulative weight exceeds r (never an
+  // empty cell, which adds nothing). Ranks ascend with the queries, so only
+  // the smallest unresolved rank is compared, and a block whose mass ends
+  // at or below it holds no answer and is skipped by its count.
   size_t next = 0;  // queries with lower_rank not yet resolved
   size_t next_upper = 0;
-  uint64_t cumulative = 0;
-  for (size_t cell = 0; cell < cells_.size(); ++cell) {
-    if (cells_[cell] == 0) continue;
-    cumulative += cells_[cell];
-    const double value = CellValue(cell);
-    while (next < queries.size() && queries[next].lower_rank < cumulative) {
-      queries[next].lower_value = value;
-      ++next;
+  const auto smallest_pending = [&]() {
+    uint64_t rank = std::numeric_limits<uint64_t>::max();
+    if (next < queries.size()) rank = queries[next].lower_rank;
+    if (next_upper < queries.size()) {
+      rank = std::min<uint64_t>(rank, queries[next_upper].upper_rank);
     }
-    while (next_upper < queries.size() &&
-           queries[next_upper].upper_rank < cumulative) {
-      queries[next_upper].upper_value = value;
-      ++next_upper;
+    return rank;
+  };
+  uint64_t pending = smallest_pending();
+  uint64_t cumulative = 0;
+  for (size_t block = 0; block < blocks_.size(); ++block) {
+    const uint64_t block_end = cumulative + blocks_[block];
+    if (pending >= block_end) {
+      cumulative = block_end;
+      continue;
+    }
+    const size_t end = BlockEnd(block);
+    for (size_t cell = block * kBlockCells; cell < end; ++cell) {
+      cumulative += cells_[cell];
+      if (pending >= cumulative) continue;
+      const double value = CellValue(cell);
+      while (next < queries.size() && queries[next].lower_rank < cumulative) {
+        queries[next].lower_value = value;
+        ++next;
+      }
+      while (next_upper < queries.size() &&
+             queries[next_upper].upper_rank < cumulative) {
+        queries[next_upper].upper_value = value;
+        ++next_upper;
+      }
+      pending = smallest_pending();
     }
     if (next == queries.size() && next_upper == queries.size()) break;
   }
@@ -172,24 +212,38 @@ std::vector<double> QuantileSketch::Quantiles(
 double QuantileSketch::Cdf(double x) const {
   BBV_CHECK(count_ > 0) << "Cdf of an empty sketch";
   if (x < options_.lo) return 0.0;
+  // Mass at grid point `cell` <= CellIndex(x) has quantized value <= the
+  // quantized x, so it counts as <= x in the quantized distribution: whole
+  // blocks below x's block by their counts, then x's block cell by cell.
   const size_t limit = CellIndex(x, options_);
+  const size_t limit_block = limit / kBlockCells;
   uint64_t below = 0;
-  for (size_t cell = 0; cell <= limit; ++cell) {
-    // Mass at grid point `cell` has quantized value CellValue(cell) <= the
-    // quantized x, so it counts as <= x in the quantized distribution.
+  for (size_t block = 0; block < limit_block; ++block) below += blocks_[block];
+  for (size_t cell = limit_block * kBlockCells; cell <= limit; ++cell) {
     below += cells_[cell];
   }
   return static_cast<double>(below) / static_cast<double>(count_);
 }
 
 size_t QuantileSketch::num_nonzero_cells() const {
-  return static_cast<size_t>(
-      std::count_if(cells_.begin(), cells_.end(),
-                    [](uint64_t weight) { return weight > 0; }));
+  size_t nonzero = 0;
+  for (size_t block = 0; block < blocks_.size(); ++block) {
+    if (blocks_[block] == 0) continue;
+    const size_t end = BlockEnd(block);
+    for (size_t cell = block * kBlockCells; cell < end; ++cell) {
+      if (cells_[cell] > 0) ++nonzero;
+    }
+  }
+  return nonzero;
 }
 
 size_t QuantileSketch::MemoryBytes() const {
-  return sizeof(QuantileSketch) + cells_.capacity() * sizeof(uint64_t);
+  return sizeof(QuantileSketch) +
+         (cells_.capacity() + blocks_.capacity()) * sizeof(uint64_t);
+}
+
+size_t QuantileSketch::BlockEnd(size_t block) const {
+  return std::min(cells_.size(), (block + 1) * kBlockCells);
 }
 
 double QuantileSketch::CellWidth() const {
@@ -197,24 +251,41 @@ double QuantileSketch::CellWidth() const {
          static_cast<double>(size_t{1} << options_.resolution_bits);
 }
 
-common::Status QuantileSketch::Save(std::ostream& out) const {
-  common::BinaryWriter writer(out);
+common::Status QuantileSketch::Save(common::BinaryWriter& writer) const {
   writer.WriteMagic(kSketchMagic, kSketchVersion);
   writer.WriteInt32(options_.resolution_bits);
   writer.WriteDouble(options_.lo);
   writer.WriteDouble(options_.hi);
   writer.WriteUint64(count_);
-  writer.WriteUint64(num_nonzero_cells());
-  for (size_t cell = 0; cell < cells_.size(); ++cell) {
-    if (cells_[cell] == 0) continue;
-    writer.WriteUint64(cell);
-    writer.WriteUint64(cells_[cell]);
+  // The cell count precedes the pairs; it is patched in once the one pass
+  // over the non-empty blocks has counted them.
+  const size_t nonzero_at = writer.size();
+  writer.WriteUint64(0);
+  uint64_t nonzero = 0;
+  uint64_t pairs[2 * kBlockCells];
+  for (size_t block = 0; block < blocks_.size(); ++block) {
+    if (blocks_[block] == 0) continue;
+    size_t filled = 0;
+    const size_t end = BlockEnd(block);
+    for (size_t cell = block * kBlockCells; cell < end; ++cell) {
+      if (cells_[cell] == 0) continue;
+      pairs[filled++] = cell;
+      pairs[filled++] = cells_[cell];
+    }
+    writer.WriteUint64s(std::span<const uint64_t>(pairs, filled));
+    nonzero += filled / 2;
   }
-  return writer.status();
+  writer.PatchUint64(nonzero_at, nonzero);
+  return common::Status::OK();
 }
 
-common::Result<QuantileSketch> QuantileSketch::Load(std::istream& in) {
-  common::BinaryReader reader(in);
+common::Status QuantileSketch::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
+}
+
+common::Result<QuantileSketch> QuantileSketch::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kSketchMagic, kSketchVersion));
   BBV_ASSIGN_OR_RETURN(int32_t resolution_bits, reader.ReadInt32());
   if (resolution_bits < 1 || resolution_bits > kMaxResolutionBits) {
@@ -228,27 +299,172 @@ common::Result<QuantileSketch> QuantileSketch::Load(std::istream& in) {
       !(options.lo < options.hi)) {
     return common::Status::InvalidArgument("corrupt sketch domain");
   }
-  QuantileSketch sketch(options);
   BBV_ASSIGN_OR_RETURN(uint64_t total, reader.ReadUint64());
   BBV_ASSIGN_OR_RETURN(uint64_t nonzero, reader.ReadUint64());
-  if (nonzero > sketch.cells_.size()) {
+  if (nonzero > (uint64_t{1} << resolution_bits) + 1) {
     return common::Status::InvalidArgument("corrupt sketch cell count");
   }
+  // Check the pairs are there before allocating the grid for them.
+  if (nonzero > reader.remaining() / (2 * sizeof(uint64_t))) {
+    return common::Status::IoError("truncated stream");
+  }
+  QuantileSketch sketch(options);
   uint64_t sum = 0;
-  for (uint64_t i = 0; i < nonzero; ++i) {
-    BBV_ASSIGN_OR_RETURN(uint64_t cell, reader.ReadUint64());
-    BBV_ASSIGN_OR_RETURN(uint64_t weight, reader.ReadUint64());
-    if (cell >= sketch.cells_.size() || weight == 0) {
-      return common::Status::InvalidArgument("corrupt sketch cell entry");
+  uint64_t previous = 0;
+  uint64_t pairs[2 * kBlockCells];
+  for (uint64_t read = 0; read < nonzero;) {
+    const size_t batch =
+        static_cast<size_t>(std::min<uint64_t>(kBlockCells, nonzero - read));
+    BBV_RETURN_NOT_OK(
+        reader.ReadUint64s(std::span<uint64_t>(pairs, 2 * batch)));
+    for (size_t i = 0; i < batch; ++i) {
+      const uint64_t cell = pairs[2 * i];
+      const uint64_t weight = pairs[2 * i + 1];
+      if (cell >= sketch.cells_.size() || weight == 0) {
+        return common::Status::InvalidArgument("corrupt sketch cell entry");
+      }
+      // Save writes each non-empty cell once, in ascending order; anything
+      // else would count a cell twice or reload to different bytes.
+      if (sum > 0 && cell <= previous) {
+        return common::Status::InvalidArgument(
+            "sketch cell entries must have strictly ascending indices");
+      }
+      if (weight > total - sum) {
+        return common::Status::InvalidArgument(
+            "sketch cell weights disagree with the stored total");
+      }
+      sketch.cells_[cell] = weight;
+      sketch.blocks_[cell / kBlockCells] += weight;
+      sum += weight;
+      previous = cell;
     }
-    sketch.cells_[cell] = weight;
-    sum += weight;
+    read += batch;
   }
   if (sum != total) {
     return common::Status::InvalidArgument(
         "sketch cell weights disagree with the stored total");
   }
   sketch.count_ = total;
+  return sketch;
+}
+
+common::Result<QuantileSketch> QuantileSketch::Load(std::istream& in) {
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+namespace {
+
+/// Byte width code (0..3 for 1, 2, 4 or 8 bytes) of the narrowest unsigned
+/// type that holds `value`.
+uint64_t WidthCode(uint64_t value) {
+  if (value <= 0xFF) return 0;
+  if (value <= 0xFFFF) return 1;
+  if (value <= 0xFFFFFFFF) return 2;
+  return 3;
+}
+
+template <typename T>
+void NarrowCells(std::span<const uint64_t> cells, char* out) {
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const auto value = static_cast<T>(cells[i]);
+    std::memcpy(out + i * sizeof(T), &value, sizeof(T));
+  }
+}
+
+/// Widens packed values into `cells`; false when they add up to more than
+/// `*budget`, which is reduced by what they add up to.
+template <typename T>
+bool WidenCells(const char* in, std::span<uint64_t> cells, uint64_t* budget) {
+  for (size_t i = 0; i < cells.size(); ++i) {
+    T value;
+    std::memcpy(&value, in + i * sizeof(T), sizeof(T));
+    if (value > *budget) return false;
+    *budget -= value;
+    cells[i] = value;
+  }
+  return true;
+}
+
+}  // namespace
+
+void QuantileSketch::PackCells(common::BinaryWriter& writer) const {
+  size_t next_block = 0;  // one past the previous packed block
+  for (size_t block = 0; block < blocks_.size(); ++block) {
+    if (blocks_[block] == 0) continue;
+    const size_t begin = block * kBlockCells;
+    const auto cells = std::span<const uint64_t>(cells_).subspan(
+        begin, BlockEnd(block) - begin);
+    const uint64_t code =
+        WidthCode(*std::max_element(cells.begin(), cells.end()));
+    writer.WriteVarUint64(((block + 1 - next_block) << 2) | code);
+    char* out = writer.Extend(cells.size() << code);
+    switch (code) {
+      case 0:
+        NarrowCells<uint8_t>(cells, out);
+        break;
+      case 1:
+        NarrowCells<uint16_t>(cells, out);
+        break;
+      case 2:
+        NarrowCells<uint32_t>(cells, out);
+        break;
+      default:
+        NarrowCells<uint64_t>(cells, out);
+        break;
+    }
+    next_block = block + 1;
+  }
+  writer.WriteVarUint64(0);
+}
+
+common::Result<QuantileSketch> QuantileSketch::UnpackCells(
+    common::BinaryReader& reader, const Options& grid, uint64_t count) {
+  QuantileSketch sketch(grid);
+  size_t next_block = 0;
+  uint64_t budget = count;
+  while (true) {
+    BBV_ASSIGN_OR_RETURN(uint64_t header, reader.ReadVarUint64());
+    if (header == 0) break;
+    const uint64_t gap = header >> 2;
+    const uint64_t code = header & 3;
+    if (gap == 0 || gap > sketch.blocks_.size() - next_block) {
+      return common::Status::InvalidArgument("corrupt packed sketch block");
+    }
+    const size_t block = next_block + static_cast<size_t>(gap) - 1;
+    const size_t begin = block * kBlockCells;
+    const auto cells = std::span<uint64_t>(sketch.cells_).subspan(
+        begin, sketch.BlockEnd(block) - begin);
+    BBV_ASSIGN_OR_RETURN(std::span<const char> in,
+                         reader.ReadBytes(cells.size() << code));
+    const uint64_t before = budget;
+    bool fits = false;
+    switch (code) {
+      case 0:
+        fits = WidenCells<uint8_t>(in.data(), cells, &budget);
+        break;
+      case 1:
+        fits = WidenCells<uint16_t>(in.data(), cells, &budget);
+        break;
+      case 2:
+        fits = WidenCells<uint32_t>(in.data(), cells, &budget);
+        break;
+      default:
+        fits = WidenCells<uint64_t>(in.data(), cells, &budget);
+        break;
+    }
+    if (!fits) {
+      return common::Status::InvalidArgument(
+          "packed sketch cells exceed the count");
+    }
+    sketch.blocks_[block] = before - budget;
+    next_block = block + 1;
+  }
+  if (budget != 0) {
+    return common::Status::InvalidArgument(
+        "packed sketch cells disagree with the count");
+  }
+  sketch.count_ = count;
   return sketch;
 }
 
@@ -465,23 +681,26 @@ double QuantileSketchBank::ValueErrorBound() const {
   return sketches_.empty() ? 0.0 : sketches_.front().ValueErrorBound();
 }
 
-common::Status QuantileSketchBank::Save(std::ostream& out) const {
-  common::BinaryWriter writer(out);
+common::Status QuantileSketchBank::Save(common::BinaryWriter& writer) const {
   writer.WriteMagic(kBankMagic, kBankVersion);
   writer.WriteInt32(options_.resolution_bits);
   writer.WriteDouble(options_.lo);
   writer.WriteDouble(options_.hi);
   writer.WriteUint64(rows_observed_);
   writer.WriteUint64(sketches_.size());
-  BBV_RETURN_NOT_OK(writer.status());
   for (const QuantileSketch& sketch : sketches_) {
-    BBV_RETURN_NOT_OK(sketch.Save(out));
+    BBV_RETURN_NOT_OK(sketch.Save(writer));
   }
   return common::Status::OK();
 }
 
-common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
-  common::BinaryReader reader(in);
+common::Status QuantileSketchBank::Save(std::ostream& out) const {
+  return common::SaveToStream(
+      out, [&](common::BinaryWriter& writer) { return Save(writer); });
+}
+
+common::Result<QuantileSketchBank> QuantileSketchBank::Load(
+    common::BinaryReader& reader) {
   BBV_RETURN_NOT_OK(reader.ExpectMagic(kBankMagic, kBankVersion));
   BBV_ASSIGN_OR_RETURN(int32_t resolution_bits, reader.ReadInt32());
   if (resolution_bits < 1 || resolution_bits > kMaxResolutionBits) {
@@ -497,19 +716,26 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
   }
   BBV_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadUint64());
   BBV_ASSIGN_OR_RETURN(uint64_t columns, reader.ReadUint64());
-  if (columns > (uint64_t{1} << 20)) {
-    return common::Status::InvalidArgument("corrupt bank column count");
+  const uint64_t column_bytes =
+      ((uint64_t{1} << resolution_bits) + 1) * sizeof(uint64_t);
+  if (columns > kMaxLoadedStateBytes / column_bytes) {
+    return common::Status::InvalidArgument(
+        "bank header claims more dense sketch state than Load accepts");
+  }
+  if (columns > reader.remaining() / kMinSketchBytes) {
+    return common::Status::IoError("truncated stream");
   }
   if (columns == 0 && rows != 0) {
     return common::Status::InvalidArgument(
         "bank claims observed rows but has no columns");
   }
-  QuantileSketchBank bank(static_cast<size_t>(columns), options);
+  QuantileSketchBank bank(0, options);
+  bank.sketches_.reserve(static_cast<size_t>(columns));
   for (uint64_t k = 0; k < columns; ++k) {
-    BBV_ASSIGN_OR_RETURN(bank.sketches_[static_cast<size_t>(k)],
-                         QuantileSketch::Load(in));
-    if (!GridsMatch(bank.sketches_[static_cast<size_t>(k)].options(),
-                    options)) {
+    // Each column's grid is allocated by its own Load, once its bytes have
+    // been read, so a header alone never allocates dense state.
+    BBV_ASSIGN_OR_RETURN(QuantileSketch sketch, QuantileSketch::Load(reader));
+    if (!GridsMatch(sketch.options(), options)) {
       return common::Status::InvalidArgument(
           "bank sketch grid disagrees with the bank header");
     }
@@ -518,10 +744,41 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
     // bank claiming rows > 0 over empty sketches would pass Load and then
     // crash PercentileFeatures (which BBV_CHECKs non-emptiness) — a process
     // abort reachable from untrusted bytes.
-    if (bank.sketches_[static_cast<size_t>(k)].count() != rows) {
+    if (sketch.count() != rows) {
       return common::Status::InvalidArgument(
           "bank sketch count disagrees with the stored row count");
     }
+    bank.sketches_.push_back(std::move(sketch));
+  }
+  bank.rows_observed_ = rows;
+  return bank;
+}
+
+common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
+  return common::LoadFromStream(
+      in, [](common::BinaryReader& reader) { return Load(reader); });
+}
+
+void QuantileSketchBank::Pack(common::BinaryWriter& writer) const {
+  writer.WriteVarUint64(rows_observed_);
+  writer.WriteVarUint64(sketches_.size());
+  for (const QuantileSketch& sketch : sketches_) sketch.PackCells(writer);
+}
+
+common::Result<QuantileSketchBank> QuantileSketchBank::Unpack(
+    common::BinaryReader& reader, const QuantileSketch::Options& grid) {
+  BBV_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadVarUint64());
+  BBV_ASSIGN_OR_RETURN(uint64_t columns, reader.ReadVarUint64());
+  // Every packed column takes at least its terminating byte.
+  if (columns > reader.remaining() || (columns == 0 && rows != 0)) {
+    return common::Status::InvalidArgument("corrupt packed bank");
+  }
+  QuantileSketchBank bank(0, grid);
+  bank.sketches_.reserve(static_cast<size_t>(columns));
+  for (uint64_t k = 0; k < columns; ++k) {
+    BBV_ASSIGN_OR_RETURN(QuantileSketch sketch,
+                         QuantileSketch::UnpackCells(reader, grid, rows));
+    bank.sketches_.push_back(std::move(sketch));
   }
   bank.rows_observed_ = rows;
   return bank;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/serialize.h"
 #include "common/status.h"
 #include "linalg/matrix.h"
 
@@ -41,8 +42,17 @@ namespace bbv::stats {
 /// queries are rank-exact (zero rank error), so two sketches over the same
 /// grid also support exact Kolmogorov-Smirnov distances between their
 /// quantized distributions (see KsStatistic).
+///
+/// Besides the dense cells the sketch keeps one derived count per block of
+/// kBlockCells consecutive cells (the block's total weight). Quantiles skip
+/// every block where no requested rank lands, and Save, num_nonzero_cells,
+/// Merge and Cdf skip empty blocks, so they cost what the sketch holds
+/// rather than the full grid. The counts never reach the serialized bytes.
 class QuantileSketch {
  public:
+  /// Cells per block of the block index.
+  static constexpr size_t kBlockCells = 64;
+
   struct Options {
     /// Grid resolution: 2^resolution_bits cells spanning [lo, hi]. The
     /// default 12 bits keeps a dense sketch at 32 KiB while resolving
@@ -83,7 +93,8 @@ class QuantileSketch {
   /// stats::SortedView / numpy.percentile. Requires a non-empty sketch.
   double Quantile(double q) const;
 
-  /// Percentiles at several points; one cumulative pass over the grid.
+  /// Percentiles at several points; one cumulative pass over the block
+  /// counts, scanning only the blocks that hold a requested order statistic.
   /// `qs` must be sorted ascending.
   std::vector<double> Quantiles(const std::vector<double>& qs) const;
 
@@ -104,7 +115,8 @@ class QuantileSketch {
   /// and canonicality tests.
   const std::vector<uint64_t>& cell_counts() const { return cells_; }
 
-  /// Resident size of the sketch state in bytes (dense cell array).
+  /// Resident size of the sketch state in bytes (dense cells and block
+  /// counts).
   size_t MemoryBytes() const;
 
   /// Width of one grid cell: (hi - lo) / 2^resolution_bits.
@@ -121,17 +133,36 @@ class QuantileSketch {
   static size_t CellIndex(double value, const Options& options);
 
   /// Canonical serialization: equal multisets produce identical bytes
-  /// regardless of Add/Merge order. Sparse (index, weight) pairs.
+  /// regardless of Add/Merge order. Sparse (index, weight) pairs in
+  /// ascending cell order; Load rejects any other order, a repeated cell and
+  /// weights that disagree with the stored total.
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<QuantileSketch> Load(common::BinaryReader& reader);
   static common::Result<QuantileSketch> Load(std::istream& in);
+
+  /// Compact cells for an in-process cold store, not a persistence format:
+  /// no magic, grid or total. Each non-empty block as a varint (gap from
+  /// the previous packed block, byte width) header and its cells at that
+  /// width, then a zero header: one byte a cell for a block whose weights
+  /// stay below 256, where Save spends 16 a non-empty cell. UnpackCells
+  /// rebuilds, on `grid` and given the packed sketch's count(), a sketch
+  /// whose Save bytes equal the packed one's.
+  void PackCells(common::BinaryWriter& writer) const;
+  static common::Result<QuantileSketch> UnpackCells(
+      common::BinaryReader& reader, const Options& grid, uint64_t count);
 
  private:
   /// Value of grid point `index`.
   double CellValue(size_t index) const;
+  /// One past the last cell of `block`.
+  size_t BlockEnd(size_t block) const;
 
   Options options_;
   /// Multiplicity per grid point; size 2^resolution_bits + 1.
   std::vector<uint64_t> cells_;
+  /// blocks_[b] is the sum of cells_[b * kBlockCells, (b + 1) * kBlockCells).
+  std::vector<uint64_t> blocks_;
   uint64_t count_ = 0;
 };
 
@@ -210,9 +241,24 @@ class QuantileSketchBank {
   /// ValueErrorBound of the member sketches; 0 for an empty bank.
   double ValueErrorBound() const;
 
+  /// Load rejects a header whose columns would hold more than this many
+  /// bytes of dense cells (1 GiB: 32760 columns at the default 12 bits, 7 at
+  /// the maximum 24), before allocating any of them.
+  static constexpr uint64_t kMaxLoadedStateBytes = uint64_t{1} << 30;
+
   /// Canonical bytes (see QuantileSketch::Save).
+  common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
+  static common::Result<QuantileSketchBank> Load(common::BinaryReader& reader);
   static common::Result<QuantileSketchBank> Load(std::istream& in);
+
+  /// Compact form for an in-process cold store: the row and column counts,
+  /// then each column's QuantileSketch::PackCells. Unpack rebuilds the bank
+  /// on `grid` (the packed bank's options()) with Save bytes equal to the
+  /// packed bank's.
+  void Pack(common::BinaryWriter& writer) const;
+  static common::Result<QuantileSketchBank> Unpack(
+      common::BinaryReader& reader, const QuantileSketch::Options& grid);
 
  private:
   QuantileSketch::Options options_;

@@ -187,46 +187,31 @@ TEST(ConformalCalibratorTest, SaveLoadRoundTripsBytes) {
     const auto calibrator =
         ConformalCalibrator::Calibrate(mode, truths, predictions, spreads);
     ASSERT_TRUE(calibrator.ok());
-    std::ostringstream first;
-    {
-      common::BinaryWriter writer(first);
-      calibrator->Save(writer);
-    }
-    std::istringstream in(first.str());
-    common::BinaryReader reader(in);
+    common::BinaryWriter first;
+    calibrator->Save(first);
+    common::BinaryReader reader(first.bytes());
     const auto restored = ConformalCalibrator::Load(reader);
     ASSERT_TRUE(restored.ok());
     EXPECT_EQ(restored->mode(), mode);
     EXPECT_EQ(restored->scores(), calibrator->scores());
-    std::ostringstream second;
-    {
-      common::BinaryWriter writer(second);
-      restored->Save(writer);
-    }
-    EXPECT_EQ(first.str(), second.str());
+    common::BinaryWriter second;
+    restored->Save(second);
+    EXPECT_EQ(first.bytes(), second.bytes());
   }
 }
 
 TEST(ConformalCalibratorTest, LoadRejectsCorruptState) {
   // Descending scores violate the canonical order.
-  std::ostringstream out;
-  {
-    common::BinaryWriter writer(out);
-    writer.WriteInt32(0);
-    writer.WriteDoubleVector({0.5, 0.1});
-  }
-  std::istringstream in(out.str());
-  common::BinaryReader reader(in);
+  common::BinaryWriter descending;
+  descending.WriteInt32(0);
+  descending.WriteDoubleVector({0.5, 0.1});
+  common::BinaryReader reader(descending.bytes());
   EXPECT_FALSE(ConformalCalibrator::Load(reader).ok());
 
-  std::ostringstream bad_mode;
-  {
-    common::BinaryWriter writer(bad_mode);
-    writer.WriteInt32(9);
-    writer.WriteDoubleVector({0.1});
-  }
-  std::istringstream bad_in(bad_mode.str());
-  common::BinaryReader bad_reader(bad_in);
+  common::BinaryWriter bad_mode;
+  bad_mode.WriteInt32(9);
+  bad_mode.WriteDoubleVector({0.1});
+  common::BinaryReader bad_reader(bad_mode.bytes());
   EXPECT_FALSE(ConformalCalibrator::Load(bad_reader).ok());
 }
 

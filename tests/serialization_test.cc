@@ -29,8 +29,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(BinaryArchiveTest, PrimitiveRoundTrip) {
-  std::stringstream buffer;
-  common::BinaryWriter writer(buffer);
+  common::BinaryWriter writer;
   writer.WriteMagic("TEST", 3);
   writer.WriteUint32(7);
   writer.WriteUint64(1ull << 40);
@@ -39,9 +38,8 @@ TEST(BinaryArchiveTest, PrimitiveRoundTrip) {
   writer.WriteString("hello");
   writer.WriteDoubleVector({1.0, 2.0, 3.0});
   writer.WriteInt32Vector({-1, 0, 1});
-  ASSERT_TRUE(writer.status().ok());
 
-  common::BinaryReader reader(buffer);
+  common::BinaryReader reader(writer.bytes());
   ASSERT_TRUE(reader.ExpectMagic("TEST", 3).ok());
   EXPECT_EQ(reader.ReadUint32().ValueOrDie(), 7u);
   EXPECT_EQ(reader.ReadUint64().ValueOrDie(), 1ull << 40);
@@ -52,38 +50,87 @@ TEST(BinaryArchiveTest, PrimitiveRoundTrip) {
             (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(reader.ReadInt32Vector().ValueOrDie(),
             (std::vector<int32_t>{-1, 0, 1}));
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST(BinaryArchiveTest, BlockPrimitivesRoundTrip) {
+  common::BinaryWriter writer;
+  const size_t count_at = writer.size();
+  writer.WriteUint64(0);
+  const std::vector<uint64_t> values = {3, uint64_t{1} << 63, 0};
+  writer.WriteUint64s(values);
+  writer.PatchUint64(count_at, values.size());
+  for (const uint64_t value :
+       {uint64_t{0}, uint64_t{127}, uint64_t{128}, uint64_t{300},
+        ~uint64_t{0}}) {
+    writer.WriteVarUint64(value);
+  }
+  char* raw = writer.Extend(3);
+  raw[0] = 'a';
+  raw[1] = 'b';
+  raw[2] = 'c';
+
+  common::BinaryReader reader(writer.bytes());
+  EXPECT_EQ(reader.ReadUint64().ValueOrDie(), values.size());
+  std::vector<uint64_t> read(values.size());
+  ASSERT_TRUE(reader.ReadUint64s(read).ok());
+  EXPECT_EQ(read, values);
+  EXPECT_EQ(reader.ReadVarUint64().ValueOrDie(), 0u);
+  EXPECT_EQ(reader.ReadVarUint64().ValueOrDie(), 127u);
+  EXPECT_EQ(reader.ReadVarUint64().ValueOrDie(), 128u);
+  EXPECT_EQ(reader.ReadVarUint64().ValueOrDie(), 300u);
+  EXPECT_EQ(reader.ReadVarUint64().ValueOrDie(), ~uint64_t{0});
+  const auto tail = reader.ReadBytes(3);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(std::string(tail->data(), tail->size()), "abc");
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_FALSE(reader.ReadBytes(1).ok());
+  EXPECT_FALSE(reader.ReadVarUint64().ok());
+}
+
+TEST(BinaryArchiveTest, MalformedVarintsRejected) {
+  // Eleven continuation bytes, and a tenth byte carrying more than bit 63.
+  const std::string overlong(11, static_cast<char>(0x80));
+  common::BinaryReader overlong_reader(overlong);
+  EXPECT_FALSE(overlong_reader.ReadVarUint64().ok());
+  std::string too_wide(9, static_cast<char>(0xFF));
+  too_wide.push_back(0x02);
+  common::BinaryReader wide_reader(too_wide);
+  EXPECT_FALSE(wide_reader.ReadVarUint64().ok());
+  EXPECT_EQ(wide_reader.position(), 0u);
+  // A truncated varint consumes nothing.
+  const std::string truncated(2, static_cast<char>(0x80));
+  common::BinaryReader truncated_reader(truncated);
+  EXPECT_FALSE(truncated_reader.ReadVarUint64().ok());
+  EXPECT_EQ(truncated_reader.position(), 0u);
 }
 
 TEST(BinaryArchiveTest, WrongMagicRejected) {
-  std::stringstream buffer;
-  common::BinaryWriter writer(buffer);
+  common::BinaryWriter writer;
   writer.WriteMagic("AAAA", 1);
-  common::BinaryReader reader(buffer);
+  common::BinaryReader reader(writer.bytes());
   EXPECT_FALSE(reader.ExpectMagic("BBBB", 1).ok());
 }
 
 TEST(BinaryArchiveTest, WrongVersionRejected) {
-  std::stringstream buffer;
-  common::BinaryWriter writer(buffer);
+  common::BinaryWriter writer;
   writer.WriteMagic("AAAA", 2);
-  common::BinaryReader reader(buffer);
+  common::BinaryReader reader(writer.bytes());
   EXPECT_FALSE(reader.ExpectMagic("AAAA", 1).ok());
 }
 
 TEST(BinaryArchiveTest, TruncatedStreamRejected) {
-  std::stringstream buffer;
-  common::BinaryWriter writer(buffer);
+  common::BinaryWriter writer;
   writer.WriteUint32(1);
-  common::BinaryReader reader(buffer);
+  common::BinaryReader reader(writer.bytes());
   EXPECT_TRUE(reader.ReadUint32().ok());
   EXPECT_FALSE(reader.ReadDouble().ok());
 }
 
 TEST(BinaryArchiveTest, ImplausibleVectorLengthRejected) {
-  std::stringstream buffer;
-  common::BinaryWriter writer(buffer);
+  common::BinaryWriter writer;
   writer.WriteUint64(uint64_t{1} << 60);  // bogus length prefix
-  common::BinaryReader reader(buffer);
+  common::BinaryReader reader(writer.bytes());
   EXPECT_FALSE(reader.ReadDoubleVector().ok());
 }
 
@@ -134,14 +181,12 @@ TEST(ForestSerializationTest, WriterCoreMatchesStreamWrapperBytes) {
 
   std::ostringstream via_stream;
   ASSERT_TRUE(forest.Save(via_stream).ok());
-  std::ostringstream via_writer;
-  common::BinaryWriter writer(via_writer);
+  common::BinaryWriter writer;
   ASSERT_TRUE(forest.Save(writer).ok());
-  EXPECT_EQ(via_stream.str(), via_writer.str());
+  EXPECT_EQ(via_stream.str(), writer.bytes());
 
   // And the reader core restores from the same bytes.
-  std::istringstream in(via_writer.str());
-  common::BinaryReader reader(in);
+  common::BinaryReader reader(writer.bytes());
   const auto restored = ml::RandomForestRegressor::Load(reader);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->Predict(features), forest.Predict(features));
@@ -208,13 +253,11 @@ TEST(GbdtSerializationTest, WriterCoreMatchesStreamWrapperBytes) {
 
   std::ostringstream via_stream;
   ASSERT_TRUE(model.Save(via_stream).ok());
-  std::ostringstream via_writer;
-  common::BinaryWriter writer(via_writer);
+  common::BinaryWriter writer;
   ASSERT_TRUE(model.Save(writer).ok());
-  EXPECT_EQ(via_stream.str(), via_writer.str());
+  EXPECT_EQ(via_stream.str(), writer.bytes());
 
-  std::istringstream in(via_writer.str());
-  common::BinaryReader reader(in);
+  common::BinaryReader reader(writer.bytes());
   const auto restored = ml::GradientBoostedTrees::Load(reader);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   const linalg::Matrix expected = model.PredictProba(features);
@@ -236,14 +279,13 @@ TEST(GbdtSerializationTest, GarbageInputRejected) {
 /// a cyclic tree must never reach a predict call, which would not return.
 common::Result<ml::RegressionTree> LoadRegressionTree(
     const std::vector<int32_t>& lefts, const std::vector<int32_t>& rights) {
-  std::stringstream buffer;
-  common::BinaryWriter writer(buffer);
+  common::BinaryWriter writer;
   writer.WriteInt32Vector({0, 0, -1});
   writer.WriteInt32Vector(lefts);
   writer.WriteInt32Vector(rights);
   writer.WriteDoubleVector({0.5, 0.25, 0.0});
   writer.WriteDoubleVector({0.0, 0.0, 1.0});
-  common::BinaryReader reader(buffer);
+  common::BinaryReader reader(writer.bytes());
   return ml::RegressionTree::Load(reader);
 }
 
@@ -261,8 +303,7 @@ TEST(TreeSerializationTest, RegressionTreeRejectsCycles) {
 /// DecisionTreeClassifier counterpart of LoadRegressionTree.
 common::Result<ml::DecisionTreeClassifier> LoadClassifierTree(
     const std::vector<int32_t>& lefts, const std::vector<int32_t>& rights) {
-  std::stringstream buffer;
-  common::BinaryWriter writer(buffer);
+  common::BinaryWriter writer;
   writer.WriteMagic("BBVCT", 1);
   writer.WriteInt32(2);
   writer.WriteUint64(3);
@@ -274,7 +315,8 @@ common::Result<ml::DecisionTreeClassifier> LoadClassifierTree(
     writer.WriteInt32(rights[i]);
     writer.WriteDoubleVector({0.5, 0.5});
   }
-  return ml::DecisionTreeClassifier::Load(buffer);
+  common::BinaryReader reader(writer.bytes());
+  return ml::DecisionTreeClassifier::Load(reader);
 }
 
 TEST(TreeSerializationTest, DecisionTreeClassifierRejectsCycles) {
@@ -355,11 +397,10 @@ TEST(PredictorSerializationTest, ForestReadingPastFeatureDimensionRejected) {
   // The stored feature dimension sits right before the coverage level;
   // rewrite it to 3, a smaller multiple of the grid size.
   const auto encode = [](uint64_t dimension, double coverage) {
-    std::stringstream out;
-    common::BinaryWriter writer(out);
+    common::BinaryWriter writer;
     writer.WriteUint64(dimension);
     writer.WriteDouble(coverage);
-    return out.str();
+    return writer.bytes();
   };
   const std::string stored = encode(6, predictor.coverage_level());
   const size_t at = bytes.find(stored);

@@ -333,6 +333,27 @@ TEST(StreamingScorerTest, SaveLoadRoundTripIsByteIdentical) {
   EXPECT_EQ(ScorerBytes(*restored), ScorerBytes(*scorer));
 }
 
+TEST(StreamingScorerTest, EveryTruncatedStateIsRejected) {
+  common::Rng rng(41);
+  core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);
+  auto source = StreamingScorer::Create(predictor, {});
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(source->Ingest(RandomProbabilities(90, rng)).ok());
+  const std::string saved = ScorerBytes(*source);
+  auto scorer = StreamingScorer::Create(predictor, {});
+  ASSERT_TRUE(scorer.ok());
+  ASSERT_TRUE(scorer->Ingest(MixtureBatch(0.5, 50)).ok());
+  const std::string before = ScorerBytes(*scorer);
+  for (size_t size = 0; size < saved.size(); ++size) {
+    std::istringstream prefix(saved.substr(0, size));
+    EXPECT_FALSE(scorer->LoadState(prefix).ok()) << "prefix " << size;
+  }
+  EXPECT_EQ(ScorerBytes(*scorer), before);
+  std::istringstream whole(saved);
+  ASSERT_TRUE(scorer->LoadState(whole).ok());
+  EXPECT_EQ(ScorerBytes(*scorer), saved);
+}
+
 TEST(StreamingScorerTest, LoadStateValidatesGridAndClassCount) {
   common::Rng rng(40);
   core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);

@@ -428,6 +428,41 @@ TEST(ValidatorServiceTest, EvictionAndRehydrationAreByteInvisible) {
   EXPECT_TRUE(service.GetTenantInfo("a")->resident);
 }
 
+TEST(ValidatorServiceTest, ManyEvictionCyclesKeepCanonicalBytes) {
+  // Three tenants share one residency slot, so every request evicts one
+  // tenant and rehydrates another; after every round each tenant, resident
+  // or not, must save the bytes of a scorer that was never evicted.
+  auto predictor = TrainSharedPredictor(45);
+  ValidatorService::Options options;
+  options.max_resident_tenants = 1;
+  ValidatorService service(options);
+  const std::vector<std::string> ids = {"x", "y", "z"};
+  std::vector<StreamingScorer> replays;
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(service.CreateTenant(id, predictor).ok());
+    auto replay = StreamingScorer::Create(predictor, {});
+    ASSERT_TRUE(replay.ok());
+    replays.push_back(std::move(*replay));
+  }
+  constexpr size_t kRounds = 25;
+  std::vector<std::vector<linalg::Matrix>> streams;
+  for (size_t t = 0; t < ids.size(); ++t) {
+    streams.push_back(TenantStream(10 + t, kRounds));
+  }
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (size_t t = 0; t < ids.size(); ++t) {
+      const auto response = service.Score(ids[t], streams[t][round]);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ASSERT_TRUE(replays[t].Ingest(streams[t][round]).ok());
+    }
+    EXPECT_EQ(service.num_resident(), 1u);
+    for (size_t t = 0; t < ids.size(); ++t) {
+      EXPECT_EQ(TenantBytes(service, ids[t]), ScorerBytes(replays[t]))
+          << "tenant " << ids[t] << " round " << round;
+    }
+  }
+}
+
 TEST(ValidatorServiceTest, HotSwapAppliesAtItsQueuePosition) {
   auto old_predictor = TrainSharedPredictor(45);
   auto new_predictor = TrainSharedPredictor(46);

@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -379,34 +381,25 @@ TEST(QuantileSketchBankTest, LoadRejectsInconsistentRowCounts) {
   };
 
   // Claims 5 observed rows over one sketch that has counted none.
-  std::ostringstream empty_sketch;
-  {
-    common::BinaryWriter writer(empty_sketch);
-    bank_header(writer, 5, 1);
-    ASSERT_TRUE(QuantileSketch(options).Save(empty_sketch).ok());
-  }
-  std::istringstream in_empty(empty_sketch.str());
+  common::BinaryWriter empty_sketch;
+  bank_header(empty_sketch, 5, 1);
+  ASSERT_TRUE(QuantileSketch(options).Save(empty_sketch).ok());
+  common::BinaryReader in_empty(empty_sketch.bytes());
   EXPECT_FALSE(QuantileSketchBank::Load(in_empty).ok());
 
   // Claims observed rows with no columns at all.
-  std::ostringstream no_columns;
-  {
-    common::BinaryWriter writer(no_columns);
-    bank_header(writer, 5, 0);
-  }
-  std::istringstream in_no_columns(no_columns.str());
+  common::BinaryWriter no_columns;
+  bank_header(no_columns, 5, 0);
+  common::BinaryReader in_no_columns(no_columns.bytes());
   EXPECT_FALSE(QuantileSketchBank::Load(in_no_columns).ok());
 
   // Sanity: the same construction with a consistent count loads fine.
-  std::ostringstream consistent;
-  {
-    common::BinaryWriter writer(consistent);
-    bank_header(writer, 3, 1);
-    QuantileSketch sketch(options);
-    for (double v : {0.1, 0.5, 0.9}) sketch.Add(v);
-    ASSERT_TRUE(sketch.Save(consistent).ok());
-  }
-  std::istringstream in_consistent(consistent.str());
+  common::BinaryWriter consistent;
+  bank_header(consistent, 3, 1);
+  QuantileSketch sketch(options);
+  for (double v : {0.1, 0.5, 0.9}) sketch.Add(v);
+  ASSERT_TRUE(sketch.Save(consistent).ok());
+  common::BinaryReader in_consistent(consistent.bytes());
   EXPECT_TRUE(QuantileSketchBank::Load(in_consistent).ok());
 }
 
@@ -550,6 +543,290 @@ TEST(QuantileSketchWindowTest, RejectsUnderflowAndMismatchWithStatus) {
   off_grid.cells.back() = 1u << 20;
   EXPECT_TRUE(rejected(off_grid));
   EXPECT_TRUE(rejected(CellBatch{grid, 2, {}}));
+}
+
+// ---------------------------------------------------------------------------
+// Block index and archive
+// ---------------------------------------------------------------------------
+
+/// Percentiles by a full scan of cell_counts(), the pre-block-index
+/// algorithm: the reference the block-skipping Quantiles must equal bit for
+/// bit.
+std::vector<double> FullScanQuantiles(const QuantileSketch& sketch,
+                                      const std::vector<double>& qs) {
+  const std::vector<uint64_t>& cells = sketch.cell_counts();
+  const QuantileSketch::Options& grid = sketch.options();
+  const auto order_statistic = [&](uint64_t rank) {
+    uint64_t cumulative = 0;
+    for (size_t cell = 0; cell < cells.size(); ++cell) {
+      cumulative += cells[cell];
+      if (rank < cumulative) {
+        const double unit =
+            static_cast<double>(cell) /
+            static_cast<double>(size_t{1} << grid.resolution_bits);
+        return grid.lo + unit * (grid.hi - grid.lo);
+      }
+    }
+    ADD_FAILURE() << "rank " << rank << " beyond the sketch";
+    return 0.0;
+  };
+  std::vector<double> out;
+  for (const double q : qs) {
+    const double position =
+        (q / 100.0) * static_cast<double>(sketch.count() - 1);
+    const auto lower = static_cast<uint64_t>(std::floor(position));
+    const auto upper = static_cast<uint64_t>(std::ceil(position));
+    const double weight = position - static_cast<double>(lower);
+    const double low = order_statistic(lower);
+    out.push_back(lower == upper ? low
+                                 : low * (1.0 - weight) +
+                                       order_statistic(upper) * weight);
+  }
+  return out;
+}
+
+/// Checks every block-indexed query against its full-scan reference.
+void ExpectQueriesMatchFullScan(const QuantileSketch& sketch) {
+  const std::vector<uint64_t>& cells = sketch.cell_counts();
+  EXPECT_EQ(sketch.num_nonzero_cells(),
+            static_cast<size_t>(std::count_if(
+                cells.begin(), cells.end(),
+                [](uint64_t weight) { return weight > 0; })));
+  if (sketch.empty()) return;
+  const std::vector<double> qs = {0.0,  0.5,  1.0,  5.0,  25.0, 33.3,
+                                  50.0, 66.7, 90.0, 99.0, 99.9, 100.0};
+  const std::vector<double> got = sketch.Quantiles(qs);
+  const std::vector<double> want = FullScanQuantiles(sketch, qs);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
+        << "q=" << qs[i] << " got " << got[i] << " want " << want[i];
+  }
+  for (const double x : {-0.5, 0.0, 0.013, 0.25, 0.5, 0.74, 0.999, 1.0, 2.0}) {
+    uint64_t below = 0;
+    if (x >= sketch.options().lo) {
+      const size_t limit = QuantileSketch::CellIndex(x, sketch.options());
+      for (size_t cell = 0; cell <= limit; ++cell) below += cells[cell];
+    }
+    EXPECT_EQ(sketch.Cdf(x),
+              static_cast<double>(below) / static_cast<double>(sketch.count()))
+        << "x=" << x;
+  }
+}
+
+TEST(QuantileSketchTest, BlockIndexAnswersEqualAFullScan) {
+  common::Rng rng(41);
+  // 1 bit is one partial block; 6 bits one full block plus the last cell;
+  // 7 and 12 bits span many blocks.
+  for (const int bits : {1, 6, 7, 12}) {
+    QuantileSketch::Options grid;
+    grid.resolution_bits = bits;
+    QuantileSketch sketch(grid);
+    for (const std::vector<double>& values : SampleShapes(rng, 400)) {
+      std::vector<uint32_t> cells;
+      for (const double value : values) {
+        cells.push_back(
+            static_cast<uint32_t>(QuantileSketch::CellIndex(value, grid)));
+      }
+      ASSERT_TRUE(sketch.AddCells(cells).ok());
+      ExpectQueriesMatchFullScan(sketch);
+      sketch.Add(values.front(), 1000);
+      ExpectQueriesMatchFullScan(sketch);
+      QuantileSketch other(grid);
+      for (size_t i = 0; i < values.size(); i += 3) other.Add(values[i]);
+      ASSERT_TRUE(sketch.Merge(other).ok());
+      ExpectQueriesMatchFullScan(sketch);
+      cells.resize(cells.size() / 2);
+      ASSERT_TRUE(sketch.RemoveCells(cells).ok());
+      ExpectQueriesMatchFullScan(sketch);
+      std::istringstream in(SketchBytes(sketch));
+      const auto loaded = QuantileSketch::Load(in);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ExpectQueriesMatchFullScan(*loaded);
+    }
+    // A rejected RemoveCells leaves the index consistent too.
+    const std::vector<uint32_t> too_many(sketch.count() + 1, 0);
+    EXPECT_FALSE(sketch.RemoveCells(too_many).ok());
+    ExpectQueriesMatchFullScan(sketch);
+  }
+}
+
+/// Sketch bytes with hand-picked (cell, weight) entries on the default grid.
+std::string HandBuiltSketch(uint64_t total,
+                            const std::vector<std::pair<uint64_t, uint64_t>>&
+                                entries) {
+  const QuantileSketch::Options grid;
+  common::BinaryWriter writer;
+  writer.WriteMagic("BBVQS", 1);
+  writer.WriteInt32(grid.resolution_bits);
+  writer.WriteDouble(grid.lo);
+  writer.WriteDouble(grid.hi);
+  writer.WriteUint64(total);
+  writer.WriteUint64(entries.size());
+  for (const auto& [cell, weight] : entries) {
+    writer.WriteUint64(cell);
+    writer.WriteUint64(weight);
+  }
+  return writer.bytes();
+}
+
+TEST(QuantileSketchTest, LoadRejectsDuplicateAndUnorderedCells) {
+  const auto load = [](const std::string& bytes) {
+    common::BinaryReader reader(bytes);
+    return QuantileSketch::Load(reader);
+  };
+  // The same cell twice: its weight would count once in the cells and
+  // twice in the total.
+  const auto duplicate = load(HandBuiltSketch(6, {{5, 3}, {5, 3}}));
+  EXPECT_EQ(duplicate.status().code(), common::StatusCode::kInvalidArgument);
+  // Descending cells: a Save of the loaded sketch would reorder the bytes.
+  const auto descending = load(HandBuiltSketch(6, {{9, 3}, {5, 3}}));
+  EXPECT_EQ(descending.status().code(), common::StatusCode::kInvalidArgument);
+  // Weights whose sum wraps around to the stored total.
+  const auto wrapping =
+      load(HandBuiltSketch(2, {{1, uint64_t{1} << 63}, {2, uint64_t{1} << 63},
+                               {3, 2}}));
+  EXPECT_EQ(wrapping.status().code(), common::StatusCode::kInvalidArgument);
+  // The ascending form loads, answers and saves back to the same bytes.
+  const std::string ascending = HandBuiltSketch(6, {{5, 3}, {9, 3}});
+  const auto loaded = load(ascending);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->count(), 6u);
+  EXPECT_EQ(loaded->num_nonzero_cells(), 2u);
+  ExpectQueriesMatchFullScan(*loaded);
+  EXPECT_EQ(SketchBytes(*loaded), ascending);
+}
+
+TEST(QuantileSketchBankTest, LoadRejectsOversizedHeaderBeforeAllocating) {
+  // A 45-byte header claiming 1024 columns at 24 bits (128 GiB of dense
+  // cells) and no sketch bytes. Load used to allocate every column first.
+  const auto header = [](int32_t bits, uint64_t columns) {
+    common::BinaryWriter writer;
+    writer.WriteMagic("BBVQB", 1);
+    writer.WriteInt32(bits);
+    writer.WriteDouble(0.0);
+    writer.WriteDouble(1.0);
+    writer.WriteUint64(10);
+    writer.WriteUint64(columns);
+    return writer.bytes();
+  };
+  const std::string huge = header(24, 1024);
+  ASSERT_EQ(huge.size(), 45u);
+  common::BinaryReader huge_reader(huge);
+  EXPECT_EQ(QuantileSketchBank::Load(huge_reader).status().code(),
+            common::StatusCode::kInvalidArgument);
+  // Within the cap, the missing sketch bytes are a truncation.
+  const std::string small = header(12, 4);
+  common::BinaryReader small_reader(small);
+  EXPECT_FALSE(QuantileSketchBank::Load(small_reader).ok());
+  // The cap sits where the header says: 7 columns at 24 bits fit, 8 do not.
+  EXPECT_EQ(QuantileSketchBank::kMaxLoadedStateBytes /
+                (((uint64_t{1} << 24) + 1) * sizeof(uint64_t)),
+            7u);
+}
+
+QuantileSketchBank FilledBank(common::Rng& rng, size_t rows, size_t columns) {
+  QuantileSketchBank bank;
+  BBV_CHECK(bank.Observe(RandomProbabilities(rows, columns, rng)).ok());
+  return bank;
+}
+
+TEST(SketchArchiveTest, EveryTruncationIsRejected) {
+  common::Rng rng(43);
+  QuantileSketch sketch;
+  for (int i = 0; i < 120; ++i) sketch.Add(rng.Uniform());
+  const std::string sketch_bytes = SketchBytes(sketch);
+  const std::string bank_bytes = BankBytes(FilledBank(rng, 60, 2));
+  for (size_t size = 0; size < sketch_bytes.size(); ++size) {
+    common::BinaryReader reader(
+        std::span<const char>(sketch_bytes.data(), size));
+    EXPECT_FALSE(QuantileSketch::Load(reader).ok()) << "prefix " << size;
+  }
+  for (size_t size = 0; size < bank_bytes.size(); ++size) {
+    common::BinaryReader reader(std::span<const char>(bank_bytes.data(), size));
+    EXPECT_FALSE(QuantileSketchBank::Load(reader).ok()) << "prefix " << size;
+  }
+}
+
+TEST(SketchArchiveTest, ObjectsSavedBackToBackLoadInOrder) {
+  common::Rng rng(44);
+  QuantileSketch sketch;
+  for (int i = 0; i < 50; ++i) sketch.Add(rng.Uniform());
+  const QuantileSketchBank bank = FilledBank(rng, 40, 3);
+  std::stringstream stream;
+  ASSERT_TRUE(sketch.Save(stream).ok());
+  ASSERT_TRUE(bank.Save(stream).ok());
+  ASSERT_TRUE(sketch.Save(stream).ok());
+  const auto sketch_size =
+      static_cast<std::streamoff>(SketchBytes(sketch).size());
+  const auto bank_size = static_cast<std::streamoff>(BankBytes(bank).size());
+
+  const auto first = QuantileSketch::Load(stream);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(stream.tellg(), sketch_size);
+  const auto second = QuantileSketchBank::Load(stream);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(stream.tellg(), sketch_size + bank_size);
+  const auto third = QuantileSketch::Load(stream);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(stream.peek(), std::char_traits<char>::eof());
+  EXPECT_EQ(SketchBytes(*first), SketchBytes(sketch));
+  EXPECT_EQ(BankBytes(*second), BankBytes(bank));
+  EXPECT_EQ(SketchBytes(*third), SketchBytes(sketch));
+  // Nothing is left for a fourth object.
+  EXPECT_FALSE(QuantileSketch::Load(stream).ok());
+}
+
+TEST(QuantileSketchBankTest, PackRestoresTheSavedBytes) {
+  common::Rng rng(45);
+  QuantileSketch::Options grid;
+  std::vector<QuantileSketchBank> banks;
+  banks.emplace_back(0, grid);
+  banks.push_back(FilledBank(rng, 1, 2));
+  banks.push_back(FilledBank(rng, 20000, 3));
+  // Cells in the first and the last (one-cell) block.
+  QuantileSketchBank edges(0, grid);
+  CellBatch batch;
+  batch.grid = grid;
+  batch.columns = 1;
+  batch.cells = {0, 64, 64, 4096};
+  ASSERT_TRUE(edges.AddCells(batch).ok());
+  banks.push_back(edges);
+  for (const QuantileSketchBank& bank : banks) {
+    common::BinaryWriter packed;
+    bank.Pack(packed);
+    common::BinaryReader reader(packed.bytes());
+    const auto unpacked = QuantileSketchBank::Unpack(reader, grid);
+    ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+    EXPECT_EQ(reader.remaining(), 0u);
+    EXPECT_EQ(BankBytes(*unpacked), BankBytes(bank));
+    for (size_t size = 0; size < packed.size(); ++size) {
+      common::BinaryReader prefix(
+          std::span<const char>(packed.bytes().data(), size));
+      EXPECT_FALSE(QuantileSketchBank::Unpack(prefix, grid).ok())
+          << "prefix " << size;
+    }
+  }
+  // A dense bank packs to one byte a cell or less, where Save spends 16 a
+  // non-empty cell.
+  common::BinaryWriter dense;
+  banks[2].Pack(dense);
+  EXPECT_LT(dense.size() * 8, BankBytes(banks[2]).size());
+
+  // Weights that need every packed width: 1, 2, 4 and 8 bytes.
+  QuantileSketch heavy(grid);
+  heavy.Add(0.5, uint64_t{1} << 40);
+  heavy.Add(0.25, 70000);
+  heavy.Add(0.75, 300);
+  common::BinaryWriter packed;
+  heavy.PackCells(packed);
+  common::BinaryReader reader(packed.bytes());
+  const auto unpacked =
+      QuantileSketch::UnpackCells(reader, grid, heavy.count());
+  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+  EXPECT_EQ(SketchBytes(*unpacked), SketchBytes(heavy));
+  common::BinaryReader short_count(packed.bytes());
+  EXPECT_FALSE(
+      QuantileSketch::UnpackCells(short_count, grid, heavy.count() - 1).ok());
 }
 
 }  // namespace

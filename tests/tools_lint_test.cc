@@ -151,6 +151,34 @@ TEST(LintRulesTest, ThreadRuleKeepsThreadLocalAndCommentsClean) {
   EXPECT_EQ(CountRule(findings, "thread"), 0u);
 }
 
+TEST(LintRulesTest, FlagsRawStreamIo) {
+  const auto findings =
+      LintFile("src/fixture/bad_raw_io.cc", FixturePath("bad_raw_io.cc"));
+  // write, sputn, read, readsome and sgetn each fire, on their own lines.
+  EXPECT_EQ(CountRule(findings, "raw-io"), 5u);
+}
+
+TEST(LintRulesTest, RawIoRuleExemptsOnlyTheArchive) {
+  const std::string contents =
+      "void F(std::ostream& out) { out.write(\"x\", 1); }\n";
+  EXPECT_EQ(CountRule(LintFileContents("src/common/serialize.cc", contents),
+                      "raw-io"),
+            0u);
+  EXPECT_EQ(CountRule(LintFileContents("src/common/serialize.h", contents),
+                      "raw-io"),
+            1u);
+  EXPECT_EQ(CountRule(LintFileContents("bench/fixture.cc", contents),
+                      "raw-io"),
+            1u);
+  // Free functions and comments named read/write are not stream calls.
+  EXPECT_EQ(CountRule(LintFileContents("src/fixture/free.cc",
+                                       "// out.write(x) in prose\n"
+                                       "int read(int fd);\n"
+                                       "int n = read(3);\n"),
+                      "raw-io"),
+            0u);
+}
+
 TEST(LintRulesTest, FlagsAdHocTiming) {
   const auto findings =
       LintFile("src/fixture/bad_chrono.cc", FixturePath("bad_chrono.cc"));

@@ -284,6 +284,29 @@ void CheckNoAdHocTiming(const std::string& path, const LexedFile& lexed,
   }
 }
 
+void CheckNoRawStreamIo(const std::string& path, const LexedFile& lexed,
+                        std::vector<LintFinding>& findings) {
+  const std::string rule = "raw-io";
+  const std::vector<Token>& tokens = lexed.tokens;
+  for (size_t i = 1; i + 1 < tokens.size(); ++i) {
+    const Token& token = tokens[i];
+    const bool binary_call =
+        (IsIdent(token, "read") || IsIdent(token, "write") ||
+         IsIdent(token, "readsome") || IsIdent(token, "sgetn") ||
+         IsIdent(token, "sputn")) &&
+        (IsPunct(tokens[i - 1], ".") || IsPunct(tokens[i - 1], "->")) &&
+        IsPunct(tokens[i + 1], "(");
+    if (binary_call) {
+      Report(path, lexed, token.line, rule,
+             "binary stream '" + token.text +
+                 "' outside src/common/serialize.cc; move bytes through "
+                 "common::BinaryWriter/BinaryReader (WriteTo, "
+                 "LoadFromStream), the one bounds-checked archive",
+             findings);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // det-iter: hash-ordered containers in result-affecting code
 // ---------------------------------------------------------------------------
@@ -691,6 +714,9 @@ std::vector<LintFinding> LintLexed(const std::string& path,
   if (!is_timing_home) {
     CheckNoAdHocTiming(path, lexed, findings);
   }
+  if (path != "src/common/serialize.cc") {
+    CheckNoRawStreamIo(path, lexed, findings);
+  }
   if (StartsWith(path, "src/stats/") || StartsWith(path, "src/ml/")) {
     CheckFloatEquality(path, lexed, findings);
   }
@@ -743,8 +769,8 @@ std::string JsonEscape(const std::string& text) {
 
 const char* const kAllRuleIds[] = {
     "assert",       "batch-api", "det-iter",       "float-eq",
-    "include-guard", "layering",  "rng",            "status-discard",
-    "stdout",       "thread",    "timing",
+    "include-guard", "layering",  "raw-io",         "rng",
+    "status-discard", "stdout",   "thread",         "timing",
 };
 
 }  // namespace

@@ -41,6 +41,10 @@ struct LintFinding {
 ///  - "timing": no ad-hoc wall-clock reads (<chrono>, clock_gettime,
 ///    gettimeofday) outside src/common/telemetry.* and bench/bench_util.* —
 ///    timing is observation-only and lives in the telemetry subsystem.
+///  - "raw-io": no binary stream read/write/readsome/sgetn/sputn member
+///    call outside src/common/serialize.cc — every archive byte moves
+///    through common::BinaryWriter/BinaryReader, which check bounds and
+///    length prefixes in one place.
 ///  - "det-iter": result-affecting library code (src/) must not name or
 ///    traverse std::unordered_map/std::unordered_set. Hash iteration order
 ///    is unspecified and silently leaks into float accumulation order,
