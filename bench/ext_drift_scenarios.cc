@@ -1,8 +1,8 @@
 // Drift-scenario detection quality: replays the standard drift scenario
 // library (errors::StandardDriftScenarios — sudden, gradual ramp, recurring
 // seasonal mixture, feedback-skewed class priors, plus a clean control
-// stream) through the windowed serve::ModelMonitor and reports per-scenario
-// detection delay and false-alarm rate.
+// stream) through a core::ModelMonitor with a 4-batch window and reports
+// per-scenario detection delay and false-alarm rate.
 //
 // CI contract: each scenario has a documented detection-quality bound
 // (maximum delay in batches after the drift onset, maximum pre-onset

@@ -10,6 +10,16 @@
 
 namespace bbv::core {
 
+namespace {
+
+stats::QuantileSketch::Options WindowGrid(int resolution_bits) {
+  stats::QuantileSketch::Options grid;
+  grid.resolution_bits = resolution_bits;
+  return grid;
+}
+
+}  // namespace
+
 ModelMonitor::Assessment ModelMonitor::Assess(const ScoreEstimate& estimate,
                                               double reference_score,
                                               const Options& options) {
@@ -39,12 +49,14 @@ common::Status ModelMonitor::ValidateOptions(
   if (options.history_limit == 0) {
     return common::Status::InvalidArgument("history_limit must be positive");
   }
-  if (options.window_batches > 0 &&
-      (options.sketch_resolution_bits < 1 ||
-       options.sketch_resolution_bits > 24)) {
+  if (options.window_batches == 0) {
     return common::Status::InvalidArgument(
-        "sketch_resolution_bits must lie in [1, 24] when window_batches is "
-        "set");
+        "window_batches must be positive");
+  }
+  if (options.sketch_resolution_bits < 1 ||
+      options.sketch_resolution_bits > 24) {
+    return common::Status::InvalidArgument(
+        "sketch_resolution_bits must lie in [1, 24]");
   }
   // A non-positive reference used to silently clamp relative_drop to 0,
   // so alarms could never fire against it; reject it up front instead.
@@ -57,19 +69,6 @@ common::Status ModelMonitor::ValidateOptions(
   return common::Status::OK();
 }
 
-common::Result<ModelMonitor> ModelMonitor::Create(
-    const ml::BlackBox* model, PerformancePredictor predictor,
-    Options options) {
-  if (model == nullptr) {
-    return common::Status::InvalidArgument("ModelMonitor needs a model");
-  }
-  BBV_RETURN_NOT_OK(ValidateOptions(predictor, options));
-  return ModelMonitor(model, model->Name(),
-                      std::make_shared<const PerformancePredictor>(
-                          std::move(predictor)),
-                      options);
-}
-
 common::Result<ModelMonitor> ModelMonitor::CreateForProba(
     std::string name, std::shared_ptr<const PerformancePredictor> predictor,
     Options options) {
@@ -78,75 +77,23 @@ common::Result<ModelMonitor> ModelMonitor::CreateForProba(
         "CreateForProba needs a predictor");
   }
   BBV_RETURN_NOT_OK(ValidateOptions(*predictor, options));
-  return ModelMonitor(nullptr, std::move(name), std::move(predictor),
-                      options);
-}
-
-ModelMonitor::ModelMonitor(const ml::BlackBox* model,
-                           PerformancePredictor predictor, Options options)
-    : ModelMonitor(model, model != nullptr ? model->Name() : std::string(),
-                   std::make_shared<const PerformancePredictor>(
-                       std::move(predictor)),
-                   options) {
-  BBV_CHECK(model != nullptr) << "ModelMonitor needs a model";
+  return ModelMonitor(std::move(name), std::move(predictor), options);
 }
 
 ModelMonitor::ModelMonitor(
-    const ml::BlackBox* model, std::string name,
-    std::shared_ptr<const PerformancePredictor> predictor, Options options)
-    : model_(model),
-      name_(std::move(name)),
+    std::string name, std::shared_ptr<const PerformancePredictor> predictor,
+    Options options)
+    : name_(std::move(name)),
       predictor_(std::move(predictor)),
-      options_(options) {
-  const common::Status valid = ValidateOptions(*predictor_, options_);
-  BBV_CHECK(valid.ok()) << valid.ToString();
-  if (windowed()) {
-    stats::QuantileSketch::Options grid;
-    grid.resolution_bits = options_.sketch_resolution_bits;
-    window_.emplace(options_.window_batches, grid);
-  }
-}
-
-common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
-    const data::DataFrame& serving) {
-  const common::telemetry::TraceSpan span("monitor.observe");
-  if (model_ == nullptr) {
-    return common::Status::FailedPrecondition(
-        "frame Observe on a proba-only monitor (no black box attached); "
-        "feed precomputed probabilities through the matrix overload");
-  }
-  BBV_ASSIGN_OR_RETURN(linalg::Matrix probabilities,
-                       model_->PredictProba(serving));
-  BBV_ASSIGN_OR_RETURN(BatchReport report, Observe(probabilities));
-  // Fold the model-inference time into the reported latency (the inner call
-  // only timed featurization + forest inference).
-  report.latency_seconds = span.ElapsedSeconds();
-  if (!history_.empty()) {
-    history_.back().latency_seconds = report.latency_seconds;
-  }
-  return report;
-}
+      options_(options),
+      window_(options_.window_batches,
+              WindowGrid(options_.sketch_resolution_bits)) {}
 
 common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
     const linalg::Matrix& probabilities) {
   const common::telemetry::TraceSpan span("monitor.observe_from_proba");
   if (probabilities.rows() == 0) {
     return common::Status::InvalidArgument("empty serving batch");
-  }
-  if (windowed()) {
-    // The window treats non-finite input as a programming error; a
-    // serving stream must degrade recoverably, so reject it up front.
-    for (size_t i = 0; i < probabilities.rows(); ++i) {
-      const double* row = probabilities.RowData(i);
-      for (size_t k = 0; k < probabilities.cols(); ++k) {
-        if (!std::isfinite(row[k])) {
-          common::telemetry::IncrementCounter("monitor.nonfinite_inputs");
-          return common::Status::InvalidArgument(
-              "serving batch contains a non-finite probability at row " +
-              std::to_string(i));
-        }
-      }
-    }
   }
   BBV_ASSIGN_OR_RETURN(ScoreEstimate estimate,
                        predictor_->EstimateScoreFromProba(probabilities));
@@ -160,39 +107,35 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
   report.rows = probabilities.rows();
   report.estimate = estimate;
   report.reference_score = predictor_->test_score();
-  // The constructor guarantees a finite, strictly positive reference.
+  // The factory guarantees a finite, strictly positive reference.
   const Assessment batch = Assess(estimate, report.reference_score, options_);
   report.relative_drop = batch.relative_drop;
   report.certified_drop = batch.certified_drop;
-  report.alarm = batch.alarm;
-  if (window_.has_value()) {
-    // Slide the window over this batch and alarm on the estimate over it —
-    // recent traffic, not all-time aggregates. A batch whose windowed
-    // estimate fails is undone, so it never pollutes the window.
-    BBV_ASSIGN_OR_RETURN(
-        stats::CellBatch evicted,
-        window_->Push(stats::CellBatch::Of(probabilities,
-                                           window_->bank().options())));
-    const common::Result<ScoreEstimate> window_estimate =
-        predictor_->EstimateScoreFromStatistics(
-            window_->bank().PercentileFeatures(
-                predictor_->percentile_points()));
-    if (!window_estimate.ok() || !std::isfinite(window_estimate->point)) {
-      window_->Undo(std::move(evicted));
-      if (!window_estimate.ok()) return window_estimate.status();
-      common::telemetry::IncrementCounter("monitor.nonfinite_estimates");
-      return common::Status::Internal(
-          "performance predictor produced a non-finite windowed estimate");
-    }
-    const Assessment window_drops =
-        Assess(*window_estimate, report.reference_score, options_);
-    report.windowed_estimate = *window_estimate;
-    report.windowed_relative_drop = window_drops.relative_drop;
-    report.windowed_certified_drop = window_drops.certified_drop;
-    report.window_batches_used = window_->batches();
-    report.window_rows = window_->bank().rows_observed();
-    report.alarm = window_drops.alarm;
+  // Slide the window over this batch and alarm on the estimate over it. A
+  // batch whose windowed estimate fails is undone, so it never pollutes the
+  // window.
+  BBV_ASSIGN_OR_RETURN(
+      stats::CellBatch evicted,
+      window_.Push(
+          stats::CellBatch::Of(probabilities, window_.bank().options())));
+  const common::Result<ScoreEstimate> window_estimate =
+      predictor_->EstimateScoreFromStatistics(
+          window_.bank().PercentileFeatures(predictor_->percentile_points()));
+  if (!window_estimate.ok() || !std::isfinite(window_estimate->point)) {
+    window_.Undo(std::move(evicted));
+    if (!window_estimate.ok()) return window_estimate.status();
+    common::telemetry::IncrementCounter("monitor.nonfinite_estimates");
+    return common::Status::Internal(
+        "performance predictor produced a non-finite windowed estimate");
   }
+  const Assessment window_drops =
+      Assess(*window_estimate, report.reference_score, options_);
+  report.windowed_estimate = *window_estimate;
+  report.windowed_relative_drop = window_drops.relative_drop;
+  report.windowed_certified_drop = window_drops.certified_drop;
+  report.window_batches_used = window_.batches();
+  report.window_rows = window_.bank().rows_observed();
+  report.alarm = window_drops.alarm;
   report.batch_id = batches_observed_++;
   if (report.alarm) {
     ++alarms_raised_;
@@ -246,19 +189,17 @@ std::string ModelMonitor::Summary() const {
              ? "certified drop — the interval must cross"
              : "point-estimate drop")
      << ")\n";
-  if (windowed()) {
-    os << "sliding window: last " << options_.window_batches
-       << " batches, sketched at 2^" << options_.sketch_resolution_bits
-       << " cells per class";
-    if (!history_.empty()) {
-      const BatchReport& last = history_.back();
-      os << "; current windowed estimate " << last.windowed_estimate.point
-         << " [" << last.windowed_estimate.lo << ", "
-         << last.windowed_estimate.hi << "] (" << last.window_batches_used
-         << " batches, " << last.window_rows << " rows)";
-    }
-    os << "\n";
+  os << "sliding window: last " << options_.window_batches
+     << " batches, sketched at 2^" << options_.sketch_resolution_bits
+     << " cells per class";
+  if (!history_.empty()) {
+    const BatchReport& last = history_.back();
+    os << "; current windowed estimate " << last.windowed_estimate.point
+       << " [" << last.windowed_estimate.lo << ", "
+       << last.windowed_estimate.hi << "] (" << last.window_batches_used
+       << " batches, " << last.window_rows << " rows)";
   }
+  os << "\n";
   if (!history_.empty()) {
     std::vector<double> estimates;
     std::vector<double> widths;
@@ -305,12 +246,7 @@ std::string ModelMonitor::ExportJson() const {
      << "\",\n";
   os << "    \"coverage_level\": " << predictor_->coverage_level() << ",\n";
   os << "    \"history_limit\": " << options_.history_limit << ",\n";
-  // Windowed configuration only when a window exists: a classic monitor
-  // used to emit "window_batches": 0, which read as a degenerate 0-batch
-  // window instead of "not windowed".
-  if (windowed()) {
-    os << "    \"window_batches\": " << options_.window_batches << ",\n";
-  }
+  os << "    \"window_batches\": " << options_.window_batches << ",\n";
   os << "    \"predictor_epoch\": " << epoch_ << ",\n";
   os << "    \"batches_observed\": " << batches_observed_ << ",\n";
   os << "    \"alarms_raised\": " << alarms_raised_ << ",\n";
@@ -331,18 +267,15 @@ std::string ModelMonitor::ExportJson() const {
        << ", \"latency_seconds\": " << report.latency_seconds
        << ", \"estimate_calls_total\": " << report.estimate_calls_total
        << ", \"alarms_total\": " << report.alarms_total
-       << ", \"epoch\": " << report.epoch;
-    if (windowed()) {
-      os << ", \"windowed_estimate\": " << report.windowed_estimate.point
-         << ", \"windowed_lo\": " << report.windowed_estimate.lo
-         << ", \"windowed_hi\": " << report.windowed_estimate.hi
-         << ", \"windowed_relative_drop\": " << report.windowed_relative_drop
-         << ", \"windowed_certified_drop\": "
-         << report.windowed_certified_drop
-         << ", \"window_batches_used\": " << report.window_batches_used
-         << ", \"window_rows\": " << report.window_rows;
-    }
-    os << "}" << (i + 1 < history_.size() ? "," : "") << "\n";
+       << ", \"epoch\": " << report.epoch
+       << ", \"windowed_estimate\": " << report.windowed_estimate.point
+       << ", \"windowed_lo\": " << report.windowed_estimate.lo
+       << ", \"windowed_hi\": " << report.windowed_estimate.hi
+       << ", \"windowed_relative_drop\": " << report.windowed_relative_drop
+       << ", \"windowed_certified_drop\": " << report.windowed_certified_drop
+       << ", \"window_batches_used\": " << report.window_batches_used
+       << ", \"window_rows\": " << report.window_rows << "}"
+       << (i + 1 < history_.size() ? "," : "") << "\n";
   }
   os << "    ]\n";
   os << "  }\n";

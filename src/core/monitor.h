@@ -3,30 +3,30 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/result.h"
 #include "core/performance_predictor.h"
-#include "data/dataframe.h"
-#include "ml/black_box.h"
+#include "linalg/matrix.h"
 #include "stats/quantile_sketch.h"
 
 namespace bbv::core {
 
-/// Serving-time convenience wrapper (the "end user or serving system
-/// inspects estimated score" step from the paper's Figure 1): feeds batches
-/// through the black box and a trained performance predictor, keeps a
-/// bounded history of estimates, and renders an operations summary plus a
-/// machine-readable JSON serving log.
+/// Serving-time monitor (the "end user or serving system inspects estimated
+/// score" step from the paper's Figure 1): scores batches of precomputed
+/// black-box probabilities with a trained performance predictor, alarms on
+/// the estimate over a sliding window of the last Options::window_batches
+/// batches, keeps a bounded history of reports, and renders an operations
+/// summary plus a machine-readable JSON serving log.
+///
+/// The window is the same stats::QuantileSketchWindow the multi-tenant
+/// service keeps per monitored tenant, so a standalone monitor and a
+/// service tenant fed the same stream alarm bit for bit alike.
 ///
 /// Hardening contract: the clean-test reference score must be finite and
 /// strictly positive — a degenerate reference used to silently force
-/// relative_drop to 0 so alarms could never fire. Use Create() for the
-/// recoverable Status-returning validation; the constructors enforce the
-/// same invariants with BBV_CHECK.
+/// relative_drop to 0 so alarms could never fire. CreateForProba() is the
+/// one factory and returns InvalidArgument for it.
 class ModelMonitor {
  public:
   /// What the alarm thresholds on. The estimate is an interval now
@@ -53,15 +53,17 @@ class ModelMonitor {
     AlarmPolicy alarm_policy = AlarmPolicy::kCertifiedDrop;
     /// Maximum batch reports retained (older entries are dropped).
     size_t history_limit = 1000;
-    /// Sliding-window mode: when positive, the monitor keeps a running
-    /// per-class quantile sketch of the last `window_batches` mini-batches
-    /// (stats::QuantileSketchWindow) and alarms on the *windowed* estimate
-    /// — so alarms reflect recent traffic instead of all-time aggregates, in
-    /// O(num_classes * 2^sketch_resolution_bits + window * rows *
-    /// num_classes) memory. 0 keeps the classic per-batch behavior.
-    size_t window_batches = 0;
+    /// Batches the alarm window covers: the monitor keeps a running
+    /// per-class quantile sketch of the last `window_batches` batches
+    /// (stats::QuantileSketchWindow) and alarms on the estimate over it —
+    /// recent traffic, not all-time aggregates — in O(num_classes *
+    /// 2^sketch_resolution_bits + window * rows * num_classes) memory. The
+    /// default 1 alarms on each batch's own sketch, whose percentile
+    /// features lie within the grid's ValueErrorBound() of the exact ones.
+    /// Must be positive.
+    size_t window_batches = 1;
     /// Sketch resolution of the window (see stats::QuantileSketch::Options);
-    /// only used when window_batches > 0.
+    /// must lie in [1, 24].
     int sketch_resolution_bits = 12;
   };
 
@@ -69,8 +71,8 @@ class ModelMonitor {
   struct BatchReport {
     size_t batch_id = 0;
     size_t rows = 0;
-    /// Predictor estimate of the score on this batch, with its conformal
-    /// interval (degenerate when the predictor is uncalibrated).
+    /// Exact predictor estimate of the score on this batch, with its
+    /// conformal interval (degenerate when the predictor is uncalibrated).
     ScoreEstimate estimate;
     /// Clean-test reference score l_test.
     double reference_score = 0.0;
@@ -80,10 +82,11 @@ class ModelMonitor {
     /// optimistic endpoint concedes — what kCertifiedDrop alarms on.
     /// Equals relative_drop for degenerate estimates.
     double certified_drop = 0.0;
+    /// Whether the windowed estimate's drop reaches the threshold.
     bool alarm = false;
-    /// Wall-clock seconds spent scoring this batch (predictor featurization
-    /// + forest inference; model inference too when observed via
-    /// Observe()). 0 when telemetry is disabled (BBV_TELEMETRY=off).
+    /// Wall-clock seconds spent scoring this batch (predictor featurization,
+    /// forest inference and the window update; the black box runs before
+    /// Observe). 0 when telemetry is disabled (BBV_TELEMETRY=off).
     double latency_seconds = 0.0;
     /// Telemetry snapshot at report time: process-wide count of predictor
     /// estimate calls, for cross-referencing this serving log against the
@@ -91,10 +94,9 @@ class ModelMonitor {
     uint64_t estimate_calls_total = 0;
     /// Alarms this monitor has raised up to and including this report.
     size_t alarms_total = 0;
-    /// Sliding-window fields; meaningful only when Options::window_batches
-    /// is positive. The estimate over the merged sketches of the last
+    /// The estimate over the merged sketches of the last
     /// `window_batches_used` batches, and its drops — this is what drives
-    /// the alarm in window mode.
+    /// the alarm.
     ScoreEstimate windowed_estimate;
     double windowed_relative_drop = 0.0;
     /// Certified drop of the windowed interval (see certified_drop).
@@ -104,14 +106,14 @@ class ModelMonitor {
     /// Rows covered by the windowed estimate.
     uint64_t window_rows = 0;
     /// Predictor epoch this batch was scored under: 0 for the predictor the
-    /// monitor was created with, incremented by every SwapPredictor. In
-    /// windowed mode a swap also clears the window, so all
-    /// window_batches_used batches of a report belong to the same epoch.
+    /// monitor was created with, incremented by every SwapPredictor. A swap
+    /// also clears the window, so all window_batches_used batches of a
+    /// report belong to the same epoch.
     uint64_t epoch = 0;
   };
 
   /// The monitor's one alarm rule, shared by the per-batch and windowed
-  /// estimates and the service's windowed path: the drops of `estimate`
+  /// estimates and the service's monitored tenants: the drops of `estimate`
   /// (as in BatchReport) and whether the policy's drop reaches the threshold.
   struct Assessment {
     double relative_drop = 0.0;
@@ -121,49 +123,29 @@ class ModelMonitor {
   static Assessment Assess(const ScoreEstimate& estimate,
                            double reference_score, const Options& options);
 
-  /// The predictor and options checks of every factory (see Create).
+  /// The predictor and options checks of CreateForProba (and of the
+  /// service's monitored tenants).
   static common::Status ValidateOptions(const PerformancePredictor& predictor,
                                         const Options& options);
 
-  /// Validating factory: rejects a null model, an untrained predictor, an
-  /// alarm threshold outside (0, 1), a zero history limit, and — the
-  /// recoverable path for serving systems — a non-finite or non-positive
-  /// reference score, with InvalidArgument instead of a crash.
-  static common::Result<ModelMonitor> Create(const ml::BlackBox* model,
-                                             PerformancePredictor predictor,
-                                             Options options);
-  static common::Result<ModelMonitor> Create(const ml::BlackBox* model,
-                                             PerformancePredictor predictor) {
-    return Create(model, std::move(predictor), Options{});
-  }
-
-  /// Proba-only factory for serving systems that run model inference
-  /// elsewhere (the multi-tenant service): no black box is attached, so
-  /// the frame overload of Observe() is unavailable — feed precomputed
-  /// probabilities through Observe(const linalg::Matrix&). `name` labels
-  /// the monitor in Summary()/ExportJson(); the predictor is shared, not
-  /// copied, so thousands of tenants can monitor against one deployed
-  /// forest.
+  /// The one factory. Rejects a null or untrained predictor, an alarm
+  /// threshold outside (0, 1), a zero history limit or window, a sketch
+  /// resolution outside [1, 24], and — the recoverable path for serving
+  /// systems — a non-finite or non-positive reference score, with a Status
+  /// instead of a crash. `name` labels the monitor in Summary() and
+  /// ExportJson(); the predictor is shared, not copied, so thousands of
+  /// tenants can monitor against one deployed forest.
   static common::Result<ModelMonitor> CreateForProba(
       std::string name,
       std::shared_ptr<const PerformancePredictor> predictor, Options options);
 
-  /// `model` must outlive the monitor; `predictor` must be trained with a
-  /// finite, strictly positive reference score (BBV_CHECK-enforced).
-  ModelMonitor(const ml::BlackBox* model, PerformancePredictor predictor)
-      : ModelMonitor(model, std::move(predictor), Options{}) {}
-  ModelMonitor(const ml::BlackBox* model, PerformancePredictor predictor,
-               Options options);
-
-  /// The one observation surface: scores one serving batch and appends the
-  /// report to the history. The frame overload runs the attached black box
-  /// first (unavailable on proba-only monitors); the probability overload
-  /// takes precomputed model outputs. Both reject empty batches and
-  /// non-finite estimates (neither pollutes the history or the window), and
-  /// both return the report — callers must consume it (or at minimum its
-  /// Status; the status-discard lint flags drops). The former
-  /// ObserveFromProba name is folded into this overload set.
-  common::Result<BatchReport> Observe(const data::DataFrame& serving);
+  /// The one observation surface: scores one batch of black-box class
+  /// probabilities (the caller runs PredictProba), slides the window over
+  /// it and appends the report to the history. Rejects empty batches,
+  /// non-finite probabilities and non-finite estimates; a rejected batch
+  /// pollutes neither the history nor the window. Callers must consume the
+  /// report (or at minimum its Status; the status-discard lint flags
+  /// drops).
   common::Result<BatchReport> Observe(const linalg::Matrix& probabilities);
 
   /// Deploys a retrained predictor (tenant hot-swap). This is an *epoch
@@ -196,32 +178,26 @@ class ModelMonitor {
   /// statistics, and one JSON object per retained batch report.
   std::string ExportJson() const;
 
-  /// True when the monitor alarms on windowed estimates.
-  bool windowed() const { return options_.window_batches > 0; }
-
   /// Drops the window without observing anything — the same epoch
   /// boundary SwapPredictor enforces, for callers that invalidate the
   /// window by other means (e.g. the tenant registry evicting a cold
-  /// tenant and rehydrating it later). No-op in classic mode.
-  void ClearWindow() {
-    if (window_.has_value()) window_->Clear();
-  }
+  /// tenant and rehydrating it later).
+  void ClearWindow() { window_.Clear(); }
 
  private:
-  ModelMonitor(const ml::BlackBox* model, std::string name,
+  /// Requires options that pass ValidateOptions.
+  ModelMonitor(std::string name,
                std::shared_ptr<const PerformancePredictor> predictor,
                Options options);
 
-  const ml::BlackBox* model_;
-  /// Label for Summary()/ExportJson(): the model's name, or the caller-
-  /// supplied name for proba-only monitors.
+  /// Label for Summary()/ExportJson().
   std::string name_;
   std::shared_ptr<const PerformancePredictor> predictor_;
   Options options_;
   /// Retained reports, oldest first; a deque so the trim is O(1).
   std::deque<BatchReport> history_;
-  /// The last options_.window_batches batches; nullopt in classic mode.
-  std::optional<stats::QuantileSketchWindow> window_;
+  /// The last options_.window_batches batches.
+  stats::QuantileSketchWindow window_;
   size_t batches_observed_ = 0;
   size_t alarms_raised_ = 0;
   uint64_t epoch_ = 0;

@@ -411,6 +411,7 @@ common::Result<ScoreEstimate> PerformancePredictor::EstimateScoreFromProba(
   if (!trained_) {
     return common::Status::FailedPrecondition("EstimateScore before Train");
   }
+  BBV_RETURN_NOT_OK(CheckFiniteProbabilities(probabilities));
   return EstimateScoreFromStatistics(
       PredictionStatistics(probabilities, options_.percentile_points),
       coverage_level);

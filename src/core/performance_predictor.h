@@ -115,7 +115,8 @@ class PerformancePredictor {
   common::Result<ScoreEstimate> EstimateScore(
       const ml::BlackBox& model, const data::DataFrame& serving) const;
 
-  /// Estimated score from precomputed model outputs.
+  /// Estimated score from precomputed model outputs; InvalidArgument when
+  /// any probability is NaN or infinite (CheckFiniteProbabilities).
   common::Result<ScoreEstimate> EstimateScoreFromProba(
       const linalg::Matrix& probabilities) const;
   /// Explicit-coverage overload for callers sweeping coverage levels.

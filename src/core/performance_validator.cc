@@ -264,6 +264,7 @@ common::Result<bool> PerformanceValidator::ValidateFromProba(
   if (!trained_) {
     return common::Status::FailedPrecondition("Validate before Train");
   }
+  BBV_RETURN_NOT_OK(CheckFiniteProbabilities(probabilities));
   common::telemetry::IncrementCounter("validator.validate.calls");
   bool verdict = false;
   if (degenerate_) {

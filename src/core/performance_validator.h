@@ -75,7 +75,8 @@ class PerformanceValidator {
   common::Result<bool> Validate(const ml::BlackBox& model,
                                 const data::DataFrame& serving) const;
 
-  /// Validation decision from precomputed model outputs.
+  /// Validation decision from precomputed model outputs; InvalidArgument
+  /// when any probability is NaN or infinite (CheckFiniteProbabilities).
   common::Result<bool> ValidateFromProba(
       const linalg::Matrix& probabilities) const;
 

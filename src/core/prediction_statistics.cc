@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "stats/descriptive.h"
@@ -44,6 +45,20 @@ bool RowsAreProbabilitySimplex(const linalg::Matrix& probabilities) {
 }
 
 }  // namespace
+
+common::Status CheckFiniteProbabilities(const linalg::Matrix& probabilities) {
+  for (size_t i = 0; i < probabilities.rows(); ++i) {
+    const double* row = probabilities.RowData(i);
+    for (size_t k = 0; k < probabilities.cols(); ++k) {
+      if (!std::isfinite(row[k])) {
+        return common::Status::InvalidArgument(
+            "class probabilities contain a non-finite value at row " +
+            std::to_string(i));
+      }
+    }
+  }
+  return common::Status::OK();
+}
 
 std::vector<double> PredictionStatistics(
     const linalg::Matrix& probabilities,

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "linalg/matrix.h"
 
 namespace bbv::core {
@@ -11,6 +12,14 @@ namespace bbv::core {
 /// 5th, 10th, ... percentile" of the model outputs), plus extra resolution
 /// at 1-4 and 96-99 for models with highly concentrated outputs.
 std::vector<double> DefaultPercentilePoints();
+
+/// The one finiteness check of every probability-fed estimate surface
+/// (PerformancePredictor::EstimateScoreFromProba,
+/// PerformanceValidator::ValidateFromProba, and through them
+/// ModelMonitor::Observe): InvalidArgument naming the first row with a NaN
+/// or infinite entry, OK otherwise. PredictionStatistics sorts each column,
+/// and a NaN there breaks the sort's ordering contract instead of failing.
+common::Status CheckFiniteProbabilities(const linalg::Matrix& probabilities);
 
 /// The paper's prediction_statistics(Y-hat): a univariate non-parametric
 /// summary of each output dimension of the black box model. Computes the

@@ -28,7 +28,7 @@ struct DriftScenarioOptions {
 /// drifted batch. Extends errors::distribution_shift from single one-shot
 /// resamples to the *temporal* regimes a deployed monitor actually faces
 /// (paper §7 "detecting drift over time"; see also the monitoring loop in
-/// serve::ModelMonitor):
+/// core::ModelMonitor):
 ///
 ///   - no_drift        clean stream end to end (false-alarm measurement)
 ///   - sudden          step change: clean until the onset, then a fixed

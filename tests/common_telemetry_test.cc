@@ -163,7 +163,10 @@ PipelineOutputs RunPipeline() {
   core::PerformanceValidator validator(validator_options);
   BBV_CHECK(validator.Train(model, test, {&outliers}, rng).ok());
 
-  core::ModelMonitor monitor(&model, predictor);
+  auto monitor = core::ModelMonitor::CreateForProba(
+      model.Name(),
+      std::make_shared<const core::PerformancePredictor>(predictor), {});
+  BBV_CHECK(monitor.ok()) << monitor.status().ToString();
   const errors::Scaling severe({}, errors::FractionRange{0.95, 1.0},
                                {1000.0});
   for (int i = 0; i < 3; ++i) {
@@ -172,7 +175,7 @@ PipelineOutputs RunPipeline() {
     const auto proba = model.PredictProba(corrupted).ValueOrDie();
     outputs.verdicts.push_back(
         validator.ValidateFromProba(proba).ValueOrDie());
-    const auto report = monitor.Observe(proba).ValueOrDie();
+    const auto report = monitor->Observe(proba).ValueOrDie();
     outputs.alarms.push_back(report.alarm);
     outputs.estimate = report.estimate.point;
   }

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/monitor.h"
@@ -55,23 +56,33 @@ TEST(EndToEndSerializedTest, ReloadedArtifactsReproduceDecisions) {
   auto predictor = core::PerformancePredictor::Load(predictor_artifact);
   ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
 
-  core::ModelMonitor monitor(model->get(), *predictor);
+  auto monitor = core::ModelMonitor::CreateForProba(
+      (*model)->Name(),
+      std::make_shared<const core::PerformancePredictor>(
+          std::move(*predictor)),
+      {});
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  const auto observe = [&](const data::DataFrame& batch) {
+    const auto probabilities = (*model)->PredictProba(batch);
+    BBV_CHECK(probabilities.ok()) << probabilities.status().ToString();
+    return monitor->Observe(*probabilities);
+  };
   const errors::Scaling incident({}, errors::FractionRange{0.9, 1.0},
                                  {1000.0});
   // Clean batch accepted; severe incident alarmed.
-  const auto clean_report = monitor.Observe(serving.features);
+  const auto clean_report = observe(serving.features);
   ASSERT_TRUE(clean_report.ok());
   EXPECT_FALSE(clean_report->alarm);
   int alarms = 0;
   for (int i = 0; i < 3; ++i) {
     const auto corrupted = incident.Corrupt(serving.features, rng);
     ASSERT_TRUE(corrupted.ok());
-    const auto report = monitor.Observe(*corrupted);
+    const auto report = observe(*corrupted);
     ASSERT_TRUE(report.ok());
     if (report->alarm) ++alarms;
   }
   EXPECT_GE(alarms, 2);
-  EXPECT_EQ(monitor.batches_observed(), 4u);
+  EXPECT_EQ(monitor->batches_observed(), 4u);
 }
 
 }  // namespace

@@ -4,10 +4,9 @@
 //    to identical behavior on an uncalibrated predictor;
 //  - BatchReport's drop fields are exactly the documented functions of the
 //    estimate and reference;
-//  - ExportJson carries the interval and policy, and emits the windowed
-//    configuration/fields only for windowed monitors (regression test: a
-//    classic monitor used to emit "window_batches": 0, reading as a
-//    degenerate zero-batch window instead of "not windowed").
+//  - ExportJson carries the interval and policy, and always carries the
+//    window configuration and fields (every monitor alarms on its window;
+//    the default window is one batch).
 
 #include "core/monitor.h"
 
@@ -98,18 +97,20 @@ TEST(MonitorIntervalTest, ReportDropsAreExactFunctionsOfTheEstimate) {
 TEST(MonitorIntervalTest, CertifiedPolicyToleratesDropsInsideTheInterval) {
   common::Rng rng(12);
   auto predictor = TrainSyntheticPredictor(rng);
-  // Probe a mid-drop batch to learn its two drops, then pick a threshold
-  // strictly between them: the point drop crosses it, the certified drop
-  // does not. The gap is the interval half-width, which a calibrated
-  // predictor guarantees to be positive.
+  // Probe a mid-drop batch to learn its two windowed drops (the alarm's
+  // inputs), then pick a threshold strictly between them: the point drop
+  // crosses it, the certified drop does not. The gap is the interval
+  // half-width, which a calibrated predictor guarantees to be positive.
   ModelMonitor probe = MakeMonitor(predictor, {});
   const auto probed = probe.Observe(MixtureBatch(0.8, 400));
   ASSERT_TRUE(probed.ok());
-  ASSERT_GT(probed->relative_drop, probed->certified_drop);
-  ASSERT_GT(probed->relative_drop, 0.0);
+  ASSERT_GT(probed->windowed_relative_drop, probed->windowed_certified_drop);
+  ASSERT_GT(probed->windowed_relative_drop, 0.0);
   ModelMonitor::Options options;
   options.alarm_threshold = std::max(
-      0.5 * (probed->relative_drop + probed->certified_drop), 1e-6);
+      0.5 * (probed->windowed_relative_drop +
+             probed->windowed_certified_drop),
+      1e-6);
   options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
   ModelMonitor point_monitor = MakeMonitor(predictor, options, "point");
   options.alarm_policy = ModelMonitor::AlarmPolicy::kCertifiedDrop;
@@ -132,7 +133,7 @@ TEST(MonitorIntervalTest, CertifiedPolicyToleratesDropsInsideTheInterval) {
   ASSERT_TRUE(certified_crash.ok());
   EXPECT_TRUE(point_crash->alarm);
   EXPECT_TRUE(certified_crash->alarm);
-  EXPECT_GE(certified_crash->certified_drop, options.alarm_threshold);
+  EXPECT_GE(certified_crash->windowed_certified_drop, options.alarm_threshold);
 }
 
 TEST(MonitorIntervalTest, PoliciesIdenticalOnUncalibratedPredictor) {
@@ -156,6 +157,8 @@ TEST(MonitorIntervalTest, PoliciesIdenticalOnUncalibratedPredictor) {
     // Degenerate interval: hi == point, so the two drops coincide and the
     // policies cannot disagree.
     EXPECT_DOUBLE_EQ(certified->certified_drop, certified->relative_drop);
+    EXPECT_DOUBLE_EQ(certified->windowed_certified_drop,
+                     certified->windowed_relative_drop);
     EXPECT_EQ(certified->alarm, point->alarm);
   }
 }
@@ -215,32 +218,23 @@ TEST(MonitorIntervalTest, ExportJsonCarriesIntervalAndPolicy) {
             std::string::npos);
 }
 
-TEST(MonitorIntervalTest, ExportJsonOmitsWindowFieldsForClassicMonitors) {
+TEST(MonitorIntervalTest, ExportJsonAlwaysCarriesWindowFields) {
   common::Rng rng(16);
   auto predictor = TrainSyntheticPredictor(rng);
-  ModelMonitor classic = MakeMonitor(predictor, {}, "classic");
-  ASSERT_TRUE(classic.Observe(MixtureBatch(0.9, 400)).ok());
-  const std::string classic_json = classic.ExportJson();
-  EXPECT_TRUE(testing::JsonValidator(classic_json).Validate()) << classic_json;
-  // Regression: no degenerate "window_batches": 0 and no windowed per-batch
-  // fields on a monitor that has no window.
-  EXPECT_EQ(classic_json.find("\"window_batches\""), std::string::npos);
-  EXPECT_EQ(classic_json.find("\"windowed_estimate\""), std::string::npos);
-  EXPECT_EQ(classic_json.find("\"windowed_certified_drop\""),
-            std::string::npos);
-
-  ModelMonitor::Options window_options;
-  window_options.window_batches = 2;
-  ModelMonitor windowed = MakeMonitor(predictor, window_options, "windowed");
-  ASSERT_TRUE(windowed.Observe(MixtureBatch(0.9, 400)).ok());
-  const std::string windowed_json = windowed.ExportJson();
-  EXPECT_TRUE(testing::JsonValidator(windowed_json).Validate())
-      << windowed_json;
-  EXPECT_NE(windowed_json.find("\"window_batches\": 2"), std::string::npos);
-  EXPECT_NE(windowed_json.find("\"windowed_estimate\""), std::string::npos);
-  EXPECT_NE(windowed_json.find("\"windowed_certified_drop\""),
-            std::string::npos);
-  EXPECT_NE(windowed_json.find("\"window_batches_used\""), std::string::npos);
+  for (const size_t window : {1u, 2u}) {
+    ModelMonitor::Options options;
+    options.window_batches = window;
+    ModelMonitor monitor = MakeMonitor(predictor, options);
+    ASSERT_TRUE(monitor.Observe(MixtureBatch(0.9, 400)).ok());
+    const std::string json = monitor.ExportJson();
+    EXPECT_TRUE(testing::JsonValidator(json).Validate()) << json;
+    EXPECT_NE(json.find("\"window_batches\": " + std::to_string(window)),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"windowed_estimate\""), std::string::npos);
+    EXPECT_NE(json.find("\"windowed_certified_drop\""), std::string::npos);
+    EXPECT_NE(json.find("\"window_batches_used\": 1"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -50,11 +50,25 @@ Fixture MakeFixture(common::Rng& rng) {
   return fixture;
 }
 
+ModelMonitor MakeMonitor(const Fixture& fixture,
+                         ModelMonitor::Options options = {}) {
+  auto monitor = ModelMonitor::CreateForProba(
+      fixture.model->Name(),
+      std::make_shared<const PerformancePredictor>(fixture.predictor),
+      options);
+  BBV_CHECK(monitor.ok()) << monitor.status().ToString();
+  return std::move(monitor).ValueOrDie();
+}
+
+linalg::Matrix Proba(const Fixture& fixture, const data::DataFrame& frame) {
+  return fixture.model->PredictProba(frame).ValueOrDie();
+}
+
 TEST(ModelMonitorTest, CleanBatchesDoNotAlarm) {
   common::Rng rng(1);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
-  const auto report = monitor.Observe(fixture.serving.features);
+  ModelMonitor monitor = MakeMonitor(fixture);
+  const auto report = monitor.Observe(Proba(fixture, fixture.serving.features));
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->alarm);
   EXPECT_EQ(report->rows, fixture.serving.NumRows());
@@ -67,14 +81,14 @@ TEST(ModelMonitorTest, CatastrophicBatchesAlarm) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.alarm_threshold = 0.05;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
   const errors::Scaling severe({}, errors::FractionRange{0.95, 1.0},
                                {1000.0});
   int alarms = 0;
   for (int i = 0; i < 5; ++i) {
     const auto corrupted =
         severe.Corrupt(fixture.serving.features, rng).ValueOrDie();
-    const auto report = monitor.Observe(corrupted);
+    const auto report = monitor.Observe(Proba(fixture, corrupted));
     ASSERT_TRUE(report.ok());
     if (report->alarm) ++alarms;
   }
@@ -87,9 +101,8 @@ TEST(ModelMonitorTest, HistoryIsBounded) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.history_limit = 3;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
-  const auto proba =
-      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  ModelMonitor monitor = MakeMonitor(fixture, options);
+  const auto proba = Proba(fixture, fixture.serving.features);
   for (int i = 0; i < 7; ++i) {
     ASSERT_TRUE(monitor.Observe(proba).ok());
   }
@@ -103,18 +116,22 @@ TEST(ModelMonitorTest, HistoryIsBounded) {
 TEST(ModelMonitorTest, EmptyBatchRejected) {
   common::Rng rng(4);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  ModelMonitor monitor = MakeMonitor(fixture);
   EXPECT_FALSE(monitor.Observe(linalg::Matrix()).ok());
 }
 
 TEST(ModelMonitorTest, SummaryMentionsCounts) {
   common::Rng rng(5);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
-  ASSERT_TRUE(monitor.Observe(fixture.serving.features).ok());
+  ModelMonitor monitor = MakeMonitor(fixture);
+  ASSERT_TRUE(monitor.Observe(Proba(fixture, fixture.serving.features)).ok());
   const std::string summary = monitor.Summary();
   EXPECT_NE(summary.find("1 batches observed"), std::string::npos);
   EXPECT_NE(summary.find("median="), std::string::npos);
+  EXPECT_NE(summary.find("sliding window: last 1 batches"),
+            std::string::npos);
+  // The name passed to CreateForProba labels the monitor.
+  EXPECT_NE(summary.find(fixture.model->Name()), std::string::npos);
 }
 
 TEST(ModelMonitorTest, AlarmFiresExactlyAtThreshold) {
@@ -124,31 +141,29 @@ TEST(ModelMonitorTest, AlarmFiresExactlyAtThreshold) {
                                {1000.0});
   const auto corrupted =
       severe.Corrupt(fixture.serving.features, rng).ValueOrDie();
-  const auto proba = fixture.model->PredictProba(corrupted).ValueOrDie();
-  // Deterministic relative drop of this exact batch.
-  const double estimate =
-      fixture.predictor.EstimateScoreFromProba(proba).ValueOrDie().point;
-  const double reference = fixture.predictor.test_score();
-  const double drop = (reference - estimate) / reference;
+  const auto proba = Proba(fixture, corrupted);
+  // Deterministic windowed relative drop of this exact batch: the alarm
+  // thresholds on the window (here the batch's own 1-batch sketch).
+  ModelMonitor::Options options;
+  options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
+  ModelMonitor probe = MakeMonitor(fixture, options);
+  const auto probed = probe.Observe(proba);
+  ASSERT_TRUE(probed.ok());
+  const double drop = probed->windowed_relative_drop;
   ASSERT_GT(drop, 0.0);
   ASSERT_LT(drop, 1.0);
 
   // >= semantics: a drop exactly at the threshold alarms... (point-drop
   // policy, so the comparison under test sees exactly `drop`)
-  ModelMonitor::Options at_options;
-  at_options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
-  at_options.alarm_threshold = drop;
-  ModelMonitor at_monitor(fixture.model.get(), fixture.predictor, at_options);
+  options.alarm_threshold = drop;
+  ModelMonitor at_monitor = MakeMonitor(fixture, options);
   const auto at_report = at_monitor.Observe(proba);
   ASSERT_TRUE(at_report.ok());
   EXPECT_TRUE(at_report->alarm);
 
   // ...while a threshold just above it does not.
-  ModelMonitor::Options above_options;
-  above_options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
-  above_options.alarm_threshold = drop + 1e-9;
-  ModelMonitor above_monitor(fixture.model.get(), fixture.predictor,
-                             above_options);
+  options.alarm_threshold = drop + 1e-9;
+  ModelMonitor above_monitor = MakeMonitor(fixture, options);
   const auto above_report = above_monitor.Observe(proba);
   ASSERT_TRUE(above_report.ok());
   EXPECT_FALSE(above_report->alarm);
@@ -159,9 +174,8 @@ TEST(ModelMonitorTest, HistoryTrimsAtExactBoundary) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.history_limit = 3;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
-  const auto proba =
-      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  ModelMonitor monitor = MakeMonitor(fixture, options);
+  const auto proba = Proba(fixture, fixture.serving.features);
   // Exactly at the limit: nothing is dropped yet.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(monitor.Observe(proba).ok());
@@ -178,9 +192,10 @@ TEST(ModelMonitorTest, HistoryTrimsAtExactBoundary) {
 TEST(ModelMonitorTest, ExportJsonRoundTrips) {
   common::Rng rng(8);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  ModelMonitor monitor = MakeMonitor(fixture);
+  const auto proba = Proba(fixture, fixture.serving.features);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(monitor.Observe(fixture.serving.features).ok());
+    ASSERT_TRUE(monitor.Observe(proba).ok());
   }
   const std::string json = monitor.ExportJson();
   EXPECT_TRUE(bbv::testing::JsonParses(json)) << json;
@@ -188,7 +203,9 @@ TEST(ModelMonitorTest, ExportJsonRoundTrips) {
        {"\"monitor\"", "\"reference_score\"", "\"alarm_threshold\"",
         "\"batches_observed\"", "\"alarm_rate\"", "\"history\"",
         "\"batch_id\"", "\"relative_drop\"", "\"latency_seconds\"",
-        "\"estimate_calls_total\"", "\"alarms_total\""}) {
+        "\"estimate_calls_total\"", "\"alarms_total\"",
+        "\"window_batches\": 1", "\"windowed_estimate\"",
+        "\"window_batches_used\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }
@@ -196,7 +213,7 @@ TEST(ModelMonitorTest, ExportJsonRoundTrips) {
 TEST(ModelMonitorTest, ExportJsonOfEmptyHistoryRoundTrips) {
   common::Rng rng(9);
   Fixture fixture = MakeFixture(rng);
-  const ModelMonitor monitor(fixture.model.get(), fixture.predictor);
+  const ModelMonitor monitor = MakeMonitor(fixture);
   EXPECT_TRUE(bbv::testing::JsonParses(monitor.ExportJson()));
 }
 
@@ -214,12 +231,13 @@ PerformancePredictor TrainTinyPredictor(double test_score, common::Rng& rng) {
 
 TEST(ModelMonitorTest, CreateRejectsDegenerateReferenceScore) {
   common::Rng rng(10);
-  const ml::BlackBoxModel model(std::make_unique<ml::SgdLogisticRegression>());
   for (double degenerate :
        {0.0, -0.25, std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity()}) {
-    const auto monitor =
-        ModelMonitor::Create(&model, TrainTinyPredictor(degenerate, rng));
+    const auto monitor = ModelMonitor::CreateForProba(
+        "tiny", std::make_shared<const PerformancePredictor>(
+                    TrainTinyPredictor(degenerate, rng)),
+        {});
     EXPECT_FALSE(monitor.ok()) << degenerate;
     EXPECT_NE(monitor.status().ToString().find("reference score"),
               std::string::npos);
@@ -228,17 +246,29 @@ TEST(ModelMonitorTest, CreateRejectsDegenerateReferenceScore) {
 
 TEST(ModelMonitorTest, CreateRejectsBadConfiguration) {
   common::Rng rng(11);
-  PerformancePredictor predictor = TrainTinyPredictor(0.8, rng);
-  const ml::BlackBoxModel model(std::make_unique<ml::SgdLogisticRegression>());
-  EXPECT_FALSE(ModelMonitor::Create(nullptr, predictor).ok());
-  EXPECT_FALSE(ModelMonitor::Create(&model, PerformancePredictor()).ok());
+  const auto predictor = std::make_shared<const PerformancePredictor>(
+      TrainTinyPredictor(0.8, rng));
+  const auto create = [&](const ModelMonitor::Options& options) {
+    return ModelMonitor::CreateForProba("tiny", predictor, options).status();
+  };
+  EXPECT_EQ(ModelMonitor::CreateForProba("tiny", nullptr, {}).status().code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ModelMonitor::CreateForProba(
+                   "tiny", std::make_shared<const PerformancePredictor>(), {})
+                   .ok());
   ModelMonitor::Options bad_threshold;
   bad_threshold.alarm_threshold = 1.5;
-  EXPECT_FALSE(ModelMonitor::Create(&model, predictor, bad_threshold).ok());
+  EXPECT_EQ(create(bad_threshold).code(), common::StatusCode::kInvalidArgument);
   ModelMonitor::Options no_history;
   no_history.history_limit = 0;
-  EXPECT_FALSE(ModelMonitor::Create(&model, predictor, no_history).ok());
-  EXPECT_TRUE(ModelMonitor::Create(&model, predictor).ok());
+  EXPECT_EQ(create(no_history).code(), common::StatusCode::kInvalidArgument);
+  // There is no unwindowed mode: a zero-batch window is a configuration
+  // error, not a request for per-batch alarms.
+  ModelMonitor::Options no_window;
+  no_window.window_batches = 0;
+  EXPECT_EQ(create(no_window).code(), common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(create({}).ok());
+  EXPECT_EQ(ModelMonitor::Options{}.window_batches, 1u);
 }
 
 TEST(ModelMonitorTest, ReportsCarryLatencyAndTelemetrySnapshot) {
@@ -246,8 +276,9 @@ TEST(ModelMonitorTest, ReportsCarryLatencyAndTelemetrySnapshot) {
   common::telemetry::SetEnabled(true);
   common::Rng rng(12);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor);
-  const auto report = monitor.Observe(fixture.serving.features);
+  ModelMonitor monitor = MakeMonitor(fixture);
+  const auto report =
+      monitor.Observe(Proba(fixture, fixture.serving.features));
   common::telemetry::SetEnabled(was_enabled);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->latency_seconds, 0.0);
@@ -257,22 +288,25 @@ TEST(ModelMonitorTest, ReportsCarryLatencyAndTelemetrySnapshot) {
             report->latency_seconds);
 }
 
-TEST(ModelMonitorTest, WindowedCreateRejectsBadSketchResolution) {
+TEST(ModelMonitorTest, CreateRejectsBadSketchResolution) {
   common::Rng rng(13);
-  Fixture fixture = MakeFixture(rng);
-  ModelMonitor::Options options;
-  options.window_batches = 4;
-  for (int bits : {0, -3, 25}) {
-    options.sketch_resolution_bits = bits;
-    EXPECT_FALSE(
-        ModelMonitor::Create(fixture.model.get(), fixture.predictor, options)
-            .ok())
-        << bits;
+  const auto predictor = std::make_shared<const PerformancePredictor>(
+      TrainTinyPredictor(0.8, rng));
+  // Checked at every window size, the default 1 included.
+  for (size_t window : {1u, 4u}) {
+    ModelMonitor::Options options;
+    options.window_batches = window;
+    for (int bits : {0, -3, 25}) {
+      options.sketch_resolution_bits = bits;
+      EXPECT_EQ(ModelMonitor::CreateForProba("m", predictor, options)
+                    .status()
+                    .code(),
+                common::StatusCode::kInvalidArgument)
+          << window << " " << bits;
+    }
+    options.sketch_resolution_bits = 12;
+    EXPECT_TRUE(ModelMonitor::CreateForProba("m", predictor, options).ok());
   }
-  options.sketch_resolution_bits = 12;
-  EXPECT_TRUE(
-      ModelMonitor::Create(fixture.model.get(), fixture.predictor, options)
-          .ok());
 }
 
 TEST(ModelMonitorTest, WindowedHandlesEmptyAndSingleRowBatches) {
@@ -280,13 +314,12 @@ TEST(ModelMonitorTest, WindowedHandlesEmptyAndSingleRowBatches) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.window_batches = 3;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
+  ModelMonitor monitor = MakeMonitor(fixture, options);
 
   EXPECT_FALSE(monitor.Observe(linalg::Matrix()).ok());
   EXPECT_EQ(monitor.batches_observed(), 0u);
 
-  const auto proba =
-      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  const auto proba = Proba(fixture, fixture.serving.features);
   const auto single = monitor.Observe(proba.SelectRows({0}));
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(single->rows, 1u);
@@ -301,9 +334,8 @@ TEST(ModelMonitorTest, WindowedEvictsWhenBatchCountExceedsWindow) {
   Fixture fixture = MakeFixture(rng);
   ModelMonitor::Options options;
   options.window_batches = 2;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
-  const auto proba =
-      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  ModelMonitor monitor = MakeMonitor(fixture, options);
+  const auto proba = Proba(fixture, fixture.serving.features);
   for (int i = 0; i < 5; ++i) {
     const auto report = monitor.Observe(proba);
     ASSERT_TRUE(report.ok());
@@ -326,26 +358,37 @@ TEST(ModelMonitorTest, WindowedEvictsWhenBatchCountExceedsWindow) {
   }
 }
 
-TEST(ModelMonitorTest, WindowedRejectsNonFiniteWithoutPollutingWindow) {
+TEST(ModelMonitorTest, RejectsNonFiniteWithoutPollutingWindow) {
   common::Rng rng(16);
   Fixture fixture = MakeFixture(rng);
-  ModelMonitor::Options options;
-  options.window_batches = 4;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
-  const auto proba =
-      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
-  ASSERT_TRUE(monitor.Observe(proba).ok());
-
+  const auto proba = Proba(fixture, fixture.serving.features);
+  // NaN in the class-0 column of every third row, and a lone -inf: scoring
+  // either would sort non-finite values into the percentile features.
   linalg::Matrix poisoned = proba;
-  poisoned.At(2, 0) = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(monitor.Observe(poisoned).ok());
-  EXPECT_EQ(monitor.batches_observed(), 1u);
+  for (size_t i = 0; i < poisoned.rows(); i += 3) {
+    poisoned.At(i, 0) = std::numeric_limits<double>::quiet_NaN();
+  }
+  linalg::Matrix infinite = proba;
+  infinite.At(proba.rows() - 1, 1) = -std::numeric_limits<double>::infinity();
+  // The default one-batch window and a window with room to spare.
+  for (const size_t window : {1u, 4u}) {
+    ModelMonitor::Options options;
+    options.window_batches = window;
+    ModelMonitor monitor = MakeMonitor(fixture, options);
+    ASSERT_TRUE(monitor.Observe(proba).ok());
+    EXPECT_EQ(monitor.Observe(poisoned).status().code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(monitor.Observe(infinite).status().code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(monitor.batches_observed(), 1u);
+    EXPECT_EQ(monitor.history().size(), 1u);
 
-  // The rejected batch must not occupy a window slot.
-  const auto next = monitor.Observe(proba);
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->window_batches_used, 2u);
-  EXPECT_EQ(next->window_rows, 2u * proba.rows());
+    // A rejected batch must not occupy a window slot.
+    const auto next = monitor.Observe(proba);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(next->window_batches_used, std::min<size_t>(2, window));
+    EXPECT_EQ(next->window_rows, next->window_batches_used * proba.rows());
+  }
 }
 
 TEST(ModelMonitorTest, WindowedEstimateMatchesMergedBankOracle) {
@@ -354,9 +397,8 @@ TEST(ModelMonitorTest, WindowedEstimateMatchesMergedBankOracle) {
   ModelMonitor::Options options;
   options.window_batches = 3;
   options.alarm_policy = ModelMonitor::AlarmPolicy::kPointDrop;
-  ModelMonitor monitor(fixture.model.get(), fixture.predictor, options);
-  const linalg::Matrix proba =
-      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  ModelMonitor monitor = MakeMonitor(fixture, options);
+  const linalg::Matrix proba = Proba(fixture, fixture.serving.features);
 
   // Batches of different sizes; every other one has its confidence pulled
   // toward chance so the windowed estimate moves as batches slide.
@@ -436,8 +478,7 @@ TEST(ModelMonitorTest, SwapPredictorStartsNewEpochAndClearsWindow) {
   options.window_batches = 4;
   auto monitor = ModelMonitor::CreateForProba("tenant", shared, options);
   ASSERT_TRUE(monitor.ok());
-  const auto proba =
-      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  const auto proba = Proba(fixture, fixture.serving.features);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(monitor->Observe(proba).ok());
   }
@@ -466,27 +507,6 @@ TEST(ModelMonitorTest, SwapPredictorStartsNewEpochAndClearsWindow) {
   EXPECT_TRUE(bbv::testing::JsonParses(json));
   EXPECT_NE(json.find("\"predictor_epoch\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch\""), std::string::npos);
-}
-
-TEST(ModelMonitorTest, ProbaOnlyMonitorRejectsObserveAndNullPredictor) {
-  common::Rng rng(18);
-  Fixture fixture = MakeFixture(rng);
-  EXPECT_FALSE(
-      ModelMonitor::CreateForProba("tenant", nullptr, {}).ok());
-  auto monitor = ModelMonitor::CreateForProba(
-      "tenant",
-      std::make_shared<const PerformancePredictor>(fixture.predictor), {});
-  ASSERT_TRUE(monitor.ok());
-  // No black box is attached, so frame-level observation cannot work; the
-  // failure must be a Status, not a crash.
-  EXPECT_FALSE(monitor->Observe(fixture.serving.features).ok());
-  EXPECT_TRUE(
-      monitor
-          ->Observe(
-              fixture.model->PredictProba(fixture.serving.features)
-                  .ValueOrDie())
-          .ok());
-  EXPECT_NE(monitor->Summary().find("tenant"), std::string::npos);
 }
 
 }  // namespace

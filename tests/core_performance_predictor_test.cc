@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "datasets/tabular.h"
@@ -97,6 +98,31 @@ TEST(PerformancePredictorTest, EstimatesCleanScoreAccurately) {
   const double actual =
       fixture.model->ScoreAccuracy(fixture.serving).ValueOrDie();
   EXPECT_NEAR(estimate->point, actual, 0.05);
+}
+
+TEST(PerformancePredictorTest, EstimateRejectsNonFiniteProbabilities) {
+  common::Rng rng(12);
+  Fixture fixture = MakeFixture(rng, 1500);
+  PerformancePredictor predictor(FastOptions());
+  const errors::MissingValues missing;
+  std::vector<const errors::ErrorGen*> generators = {&missing};
+  ASSERT_TRUE(
+      predictor.Train(*fixture.model, fixture.test, generators, rng).ok());
+  const linalg::Matrix proba =
+      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  // NaN in the class-0 column of every third row would otherwise be sorted
+  // into the percentile features and scored.
+  linalg::Matrix poisoned = proba;
+  for (size_t i = 0; i < poisoned.rows(); i += 3) {
+    poisoned.At(i, 0) = std::numeric_limits<double>::quiet_NaN();
+  }
+  EXPECT_EQ(predictor.EstimateScoreFromProba(poisoned).status().code(),
+            common::StatusCode::kInvalidArgument);
+  linalg::Matrix infinite = proba;
+  infinite.At(proba.rows() - 1, 1) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(predictor.EstimateScoreFromProba(infinite, 0.5).status().code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(predictor.EstimateScoreFromProba(proba).ok());
 }
 
 TEST(PerformancePredictorTest, TracksDegradationUnderKnownError) {

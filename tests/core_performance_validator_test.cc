@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "datasets/tabular.h"
@@ -87,6 +88,29 @@ TEST(PerformanceValidatorTest, AlarmsOnCatastrophicCorruption) {
 TEST(PerformanceValidatorTest, ValidateBeforeTrainFails) {
   PerformanceValidator validator;
   EXPECT_FALSE(validator.ValidateFromProba(linalg::Matrix(5, 2)).ok());
+}
+
+TEST(PerformanceValidatorTest, ValidateRejectsNonFiniteProbabilities) {
+  common::Rng rng(7);
+  Fixture fixture = MakeFixture(rng);
+  PerformanceValidator::Options options = FastOptions();
+  options.corruptions_per_generator = 20;
+  PerformanceValidator validator(options);
+  const errors::ErrorMixture mixture(
+      {std::make_shared<errors::MissingValues>(),
+       std::make_shared<errors::NumericOutliers>()});
+  std::vector<const errors::ErrorGen*> generators = {&mixture};
+  ASSERT_TRUE(
+      validator.Train(*fixture.model, fixture.test, generators, rng).ok());
+  const linalg::Matrix proba =
+      fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+  linalg::Matrix poisoned = proba;
+  for (size_t i = 0; i < poisoned.rows(); i += 3) {
+    poisoned.At(i, 0) = std::numeric_limits<double>::quiet_NaN();
+  }
+  EXPECT_EQ(validator.ValidateFromProba(poisoned).status().code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(validator.ValidateFromProba(proba).ok());
 }
 
 TEST(PerformanceValidatorTest, TrainValidation) {

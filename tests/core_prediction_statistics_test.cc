@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 
@@ -30,6 +32,18 @@ TEST(DefaultPercentilePointsTest, SortedUniqueAndCoversRange) {
                         static_cast<double>(q)),
               points.end());
   }
+}
+
+TEST(CheckFiniteProbabilitiesTest, NamesTheFirstNonFiniteRow) {
+  linalg::Matrix proba = BinaryProba({0.1, 0.5, 0.9, 0.3});
+  EXPECT_TRUE(CheckFiniteProbabilities(proba).ok());
+  EXPECT_TRUE(CheckFiniteProbabilities(linalg::Matrix()).ok());
+  proba.At(2, 1) = std::numeric_limits<double>::infinity();
+  proba.At(3, 0) = std::numeric_limits<double>::quiet_NaN();
+  const common::Status status = CheckFiniteProbabilities(proba);
+  EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("row 2"), std::string::npos)
+      << status.ToString();
 }
 
 // Fills each row with a random point on the probability simplex; the

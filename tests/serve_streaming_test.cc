@@ -447,18 +447,18 @@ TEST(StreamingScorerTest, SwapPredictorValidatesAndSwitchesForests) {
 
 TEST(SlidingWindowMonitorTest, AlarmFiresOnlyAfterHealthyBatchesEvicted) {
   common::Rng rng(38);
-  core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);
-  const ml::BlackBoxModel model(
-      std::make_unique<ml::SgdLogisticRegression>());
   core::ModelMonitor::Options options;
   options.alarm_threshold = 0.35;
   options.window_batches = 2;
   // This test pins down the point-drop eviction semantics; the certified
   // (interval-based) policy is covered in core_monitor_interval_test.
   options.alarm_policy = core::ModelMonitor::AlarmPolicy::kPointDrop;
-  auto monitor = core::ModelMonitor::Create(&model, predictor, options);
+  auto monitor = core::ModelMonitor::CreateForProba(
+      "synthetic",
+      std::make_shared<const core::PerformancePredictor>(
+          TrainSyntheticPredictor(rng)),
+      options);
   ASSERT_TRUE(monitor.ok());
-  ASSERT_TRUE(monitor->windowed());
 
   const linalg::Matrix good = MixtureBatch(1.0, 400);
   const linalg::Matrix bad = MixtureBatch(0.0, 400);

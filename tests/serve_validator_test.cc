@@ -197,7 +197,12 @@ TEST(ValidatorServiceTest, CreateTenantValidatesArguments) {
             common::StatusCode::kNotFound);
 }
 
-TEST(ValidatorServiceTest, CoalescedFlushMatchesStandaloneBitwise) {
+/// Parameterized over the monitored tenants' window_batches: 1 pins a
+/// default core::ModelMonitor to a one-batch service window, 3 a window that
+/// spans flushes, swaps and evictions.
+class ValidatorServiceWindowTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ValidatorServiceWindowTest, CoalescedFlushMatchesStandaloneBitwise) {
   auto predictor = TrainSharedPredictor(42);
   auto retrained = TrainSharedPredictor(51);
   // Monitored tenants "watch-*" come first in every round, so watch-0 is
@@ -211,7 +216,7 @@ TEST(ValidatorServiceTest, CoalescedFlushMatchesStandaloneBitwise) {
   // watch-1 hot-swaps to `retrained` right before its batch kSwapBefore.
   const size_t kSwapBefore = 2;
   ValidatorService::TenantOptions monitored;
-  monitored.window_batches = 3;
+  monitored.window_batches = GetParam();
   monitored.alarm_threshold = 0.15;
   std::vector<std::string> ids;
   std::vector<std::vector<linalg::Matrix>> streams;
@@ -340,6 +345,9 @@ TEST(ValidatorServiceTest, CoalescedFlushMatchesStandaloneBitwise) {
   EXPECT_GT(alarms, 0u);
   EXPECT_LT(alarms, kMonitored * kBatches);
 }
+
+INSTANTIATE_TEST_SUITE_P(WindowBatches, ValidatorServiceWindowTest,
+                         ::testing::Values(size_t{1}, size_t{3}));
 
 TEST(ValidatorServiceTest, ScoreMatchesCoalescedFlush) {
   auto predictor = TrainSharedPredictor(43);
