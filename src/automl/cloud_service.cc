@@ -7,11 +7,13 @@ namespace bbv::automl {
 
 common::Result<linalg::Matrix> CloudHostedModel::PredictProba(
     const data::DataFrame& frame) const {
-  linalg::Matrix all_probabilities;
   const size_t num_rows = frame.NumRows();
-  size_t start = 0;
+  if (num_rows == 0) {
+    return linalg::Matrix(0, static_cast<size_t>(num_classes()));
+  }
+  linalg::Matrix all_probabilities;
   // Split into API-sized batches like a real prediction endpoint would.
-  do {
+  for (size_t start = 0; start < num_rows; start += max_batch_size_) {
     const size_t end = std::min(start + max_batch_size_, num_rows);
     std::vector<size_t> rows(end - start);
     std::iota(rows.begin(), rows.end(), start);
@@ -20,8 +22,7 @@ common::Result<linalg::Matrix> CloudHostedModel::PredictProba(
     all_probabilities.AppendRows(batch_probabilities);
     ++api_calls_;
     rows_served_ += rows.size();
-    start = end;
-  } while (start < num_rows);
+  }
   return all_probabilities;
 }
 

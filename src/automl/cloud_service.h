@@ -1,6 +1,7 @@
 #ifndef BBV_AUTOML_CLOUD_SERVICE_H_
 #define BBV_AUTOML_CLOUD_SERVICE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -34,15 +35,16 @@ class CloudHostedModel : public ml::BlackBox {
   std::string Name() const override { return "cloud-automl"; }
 
   /// Number of prediction API calls made so far (each covers at most
-  /// max_batch_size rows).
-  size_t api_calls() const { return api_calls_; }
-  size_t rows_served() const { return rows_served_; }
+  /// max_batch_size rows; an empty frame makes none). PredictProba may run
+  /// concurrently, so the meters are atomic.
+  size_t api_calls() const { return api_calls_.load(); }
+  size_t rows_served() const { return rows_served_.load(); }
 
  private:
   std::unique_ptr<ml::BlackBoxModel> model_;
   size_t max_batch_size_;
-  mutable size_t api_calls_ = 0;
-  mutable size_t rows_served_ = 0;
+  mutable std::atomic<size_t> api_calls_{0};
+  mutable std::atomic<size_t> rows_served_{0};
 };
 
 /// The training side of the cloud service: submit a dataset, receive an

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <string>
 
 #include "common/parallel.h"
@@ -38,6 +40,78 @@ double ComputeScore(ScoreMetric metric, const linalg::Matrix& probabilities,
   return 0.0;
 }
 
+namespace {
+
+bool SameShapeAndSchema(const data::DataFrame& a, const data::DataFrame& b) {
+  if (a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols()) return false;
+  for (size_t c = 0; c < a.NumCols(); ++c) {
+    if (a.column(c).name() != b.column(c).name() ||
+        a.column(c).type() != b.column(c).type()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+common::Result<linalg::Matrix> PredictCorruptedCopy(
+    const ml::BlackBox& model, const data::DataFrame& clean,
+    const linalg::Matrix& clean_probabilities, data::DataFrame corrupted,
+    const std::vector<size_t>& rows_read) {
+  if (!SameShapeAndSchema(corrupted, clean) ||
+      clean_probabilities.rows() != clean.NumRows()) {
+    common::telemetry::IncrementCounter("predictor.black_box_rows",
+                                        corrupted.NumRows());
+    return model.PredictProba(corrupted);
+  }
+  for (size_t row : rows_read) {
+    if (row >= clean.NumRows()) {
+      return common::Status::InvalidArgument(
+          "read row " + std::to_string(row) + " is outside the " +
+          std::to_string(clean.NumRows()) + "-row test set");
+    }
+  }
+  // Column-major diff over the read rows only: a row is changed as soon as
+  // one of its cells differs bit for bit.
+  std::vector<uint8_t> changed(clean.NumRows(), 0);
+  for (size_t c = 0; c < clean.NumCols(); ++c) {
+    const std::vector<data::CellValue>& before = clean.column(c).cells();
+    const std::vector<data::CellValue>& after = corrupted.column(c).cells();
+    for (size_t row : rows_read) {
+      if (changed[row] == 0 && !after[row].BitwiseEquals(before[row])) {
+        changed[row] = 1;
+      }
+    }
+  }
+  std::vector<size_t> changed_rows;
+  for (size_t row = 0; row < changed.size(); ++row) {
+    if (changed[row] != 0) changed_rows.push_back(row);
+  }
+  common::telemetry::IncrementCounter("predictor.black_box_rows",
+                                      changed_rows.size());
+  common::telemetry::IncrementCounter("predictor.black_box_rows_reused",
+                                      rows_read.size() - changed_rows.size());
+  linalg::Matrix probabilities = clean_probabilities;
+  if (changed_rows.empty()) return probabilities;
+  corrupted.KeepRows(changed_rows);
+  BBV_ASSIGN_OR_RETURN(const linalg::Matrix predicted,
+                       model.PredictProba(corrupted));
+  if (predicted.rows() != changed_rows.size() ||
+      predicted.cols() != probabilities.cols()) {
+    return common::Status::InvalidArgument(
+        "black box returned " + std::to_string(predicted.rows()) + " x " +
+        std::to_string(predicted.cols()) + " probabilities for " +
+        std::to_string(changed_rows.size()) + " rows of a " +
+        std::to_string(probabilities.cols()) + "-class model");
+  }
+  for (size_t i = 0; i < changed_rows.size(); ++i) {
+    std::copy(predicted.RowData(i), predicted.RowData(i) + predicted.cols(),
+              probabilities.RowData(changed_rows[i]));
+  }
+  return probabilities;
+}
+
 PerformancePredictor::PerformancePredictor(Options options)
     : options_(std::move(options)) {
   if (options_.percentile_points.empty()) {
@@ -62,6 +136,8 @@ common::Status PerformancePredictor::Train(
   // Score on the clean test data (line 2 of Algorithm 1).
   BBV_ASSIGN_OR_RETURN(linalg::Matrix clean_probabilities,
                        model.PredictProba(test.features));
+  common::telemetry::IncrementCounter("predictor.black_box_rows",
+                                      test.NumRows());
   test_score_ = ComputeScore(options_.metric, clean_probabilities, test.labels);
 
   // Collect the meta-training set M (lines 3-12). Every corrupt → predict →
@@ -70,6 +146,8 @@ common::Status PerformancePredictor::Train(
   // hence the serialized model) bit-identical at every thread count.
   const bool subsample = options_.meta_batch_size > 0 &&
                          options_.meta_batch_size < test.NumRows();
+  std::vector<size_t> all_rows(test.NumRows());
+  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
   std::vector<const errors::ErrorGen*> task_generators;
   for (int c = 0; c < options_.clean_copies; ++c) {
     task_generators.push_back(nullptr);  // clean copy
@@ -89,20 +167,32 @@ common::Status PerformancePredictor::Train(
   BBV_RETURN_NOT_OK(common::ParallelFor(
       task_generators.size(), [&](size_t task) -> common::Status {
         common::Rng& task_rng = task_rngs[task];
+        const errors::ErrorGen* generator = task_generators[task];
+        data::DataFrame corrupted;
+        if (generator != nullptr) {
+          BBV_ASSIGN_OR_RETURN(corrupted,
+                               generator->Corrupt(test.features, task_rng));
+        }
+        // The subsample is drawn right after Corrupt, before the model runs;
+        // PredictProba draws nothing, so the task stream is consumed in the
+        // same order as when the draw followed the prediction.
+        std::vector<size_t> sampled_rows;
+        if (subsample) {
+          sampled_rows = task_rng.SampleWithoutReplacement(
+              test.NumRows(), options_.meta_batch_size);
+        }
+        const std::vector<size_t>& rows = subsample ? sampled_rows : all_rows;
         const linalg::Matrix* probabilities = &clean_probabilities;
         linalg::Matrix corrupted_probabilities;
-        if (task_generators[task] != nullptr) {
+        if (generator != nullptr) {
           BBV_ASSIGN_OR_RETURN(
-              data::DataFrame corrupted,
-              task_generators[task]->Corrupt(test.features, task_rng));
-          BBV_ASSIGN_OR_RETURN(corrupted_probabilities,
-                               model.PredictProba(corrupted));
+              corrupted_probabilities,
+              PredictCorruptedCopy(model, test.features, clean_probabilities,
+                                   std::move(corrupted), rows));
           probabilities = &corrupted_probabilities;
         }
         if (subsample) {
           // Row-index view: no per-repetition sub-matrix/label copies.
-          const std::vector<size_t> rows = task_rng.SampleWithoutReplacement(
-              test.NumRows(), options_.meta_batch_size);
           feature_rows[task] = PredictionStatistics(
               *probabilities, rows, options_.percentile_points);
           scores[task] =

@@ -36,6 +36,27 @@ double ComputeScore(ScoreMetric metric, const linalg::Matrix& probabilities,
                     const std::vector<size_t>& rows,
                     const std::vector<int>& labels);
 
+/// Algorithm 1's predict step for one corrupted copy of the test set,
+/// shared by PerformancePredictor::Train and PerformanceValidator::Train.
+/// Returns the black box's outputs on `corrupted` for the distinct rows in
+/// `rows_read` (the rows the caller will read); every other row holds the
+/// clean output. Only the read rows that differ bit for bit from `clean`
+/// (data::CellValue::BitwiseEquals) are sent to `model`: `corrupted`, which
+/// the caller hands over, is compacted to them in place, and their outputs
+/// are scattered into a copy of `clean_probabilities`. An unchanged row
+/// reuses its clean output, which is exact because ml::BlackBox::PredictProba
+/// is row-independent; when no read row changed the model is not called. A
+/// `corrupted` frame whose shape or schema differs from `clean` is predicted
+/// whole. Model errors pass through; a read row outside the frame, or a
+/// result that is not changed rows x `clean_probabilities.cols()`, is
+/// InvalidArgument. Bumps the counters
+/// `predictor.black_box_rows` (rows sent) and
+/// `predictor.black_box_rows_reused` (read rows that reused a clean output).
+common::Result<linalg::Matrix> PredictCorruptedCopy(
+    const ml::BlackBox& model, const data::DataFrame& clean,
+    const linalg::Matrix& clean_probabilities, data::DataFrame corrupted,
+    const std::vector<size_t>& rows_read);
+
 /// The paper's core contribution (Algorithms 1 & 2): a regression model that
 /// estimates a black box classifier's prediction quality on unseen,
 /// unlabeled serving data from percentiles of the model's output

@@ -49,6 +49,8 @@ common::Status PerformanceValidator::Train(
   }
   BBV_ASSIGN_OR_RETURN(linalg::Matrix clean_probabilities,
                        model.PredictProba(test.features));
+  common::telemetry::IncrementCounter("predictor.black_box_rows",
+                                      test.NumRows());
   test_score_ =
       ComputeScore(options_.metric, clean_probabilities, test.labels);
 
@@ -98,17 +100,15 @@ common::Status PerformanceValidator::Train(
   BBV_RETURN_NOT_OK(common::ParallelFor(
       task_generators.size(), [&](size_t task) -> common::Status {
         common::Rng& task_rng = task_rngs[task];
-        const linalg::Matrix* probabilities = &clean_probabilities;
-        linalg::Matrix corrupted_probabilities;
-        if (task_generators[task] != nullptr) {
-          BBV_ASSIGN_OR_RETURN(
-              data::DataFrame corrupted,
-              task_generators[task]->Corrupt(test.features, task_rng));
-          BBV_ASSIGN_OR_RETURN(corrupted_probabilities,
-                               model.PredictProba(corrupted));
-          probabilities = &corrupted_probabilities;
+        const errors::ErrorGen* generator = task_generators[task];
+        data::DataFrame corrupted;
+        if (generator != nullptr) {
+          BBV_ASSIGN_OR_RETURN(corrupted,
+                               generator->Corrupt(test.features, task_rng));
         }
-        // Pick the meta-example rows from the example half only.
+        // Pick the meta-example rows from the example half only. They are
+        // drawn before the model runs; PredictProba draws nothing, so the
+        // task stream is consumed in the same order either way.
         std::vector<size_t> rows = example_rows;
         if (batch_size < example_rows.size()) {
           const std::vector<size_t> picks =
@@ -117,6 +117,17 @@ common::Status PerformanceValidator::Train(
           rows.clear();
           rows.reserve(batch_size);
           for (size_t pick : picks) rows.push_back(example_rows[pick]);
+        }
+        // Only these rows are read, so the reference half of a corrupted
+        // copy never reaches the model.
+        const linalg::Matrix* probabilities = &clean_probabilities;
+        linalg::Matrix corrupted_probabilities;
+        if (generator != nullptr) {
+          BBV_ASSIGN_OR_RETURN(
+              corrupted_probabilities,
+              PredictCorruptedCopy(model, test.features, clean_probabilities,
+                                   std::move(corrupted), rows));
+          probabilities = &corrupted_probabilities;
         }
         // The batch is materialized because BuildFeatures later runs
         // per-class KS tests against its columns; statistics and score use

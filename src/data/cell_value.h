@@ -1,6 +1,9 @@
 #ifndef BBV_DATA_CELL_VALUE_H_
 #define BBV_DATA_CELL_VALUE_H_
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <variant>
 #include <vector>
@@ -62,6 +65,26 @@ class CellValue {
   }
 
   bool operator==(const CellValue& other) const { return value_ == other.value_; }
+
+  /// Bit-for-bit identity: numbers and image pixels compare by bit pattern,
+  /// strings and NA by value. Unlike operator==, -0.0 differs from 0.0 and a
+  /// NaN equals a NaN with the same payload, so a true result means any
+  /// function of the cell sees the same input.
+  bool BitwiseEquals(const CellValue& other) const {
+    if (value_.index() != other.value_.index()) return false;
+    if (const double* number = std::get_if<double>(&value_)) {
+      return std::bit_cast<uint64_t>(*number) ==
+             std::bit_cast<uint64_t>(std::get<double>(other.value_));
+    }
+    if (const auto* pixels = std::get_if<std::vector<double>>(&value_)) {
+      const auto& other_pixels = std::get<std::vector<double>>(other.value_);
+      return pixels->size() == other_pixels.size() &&
+             (pixels->empty() ||
+              std::memcmp(pixels->data(), other_pixels.data(),
+                          pixels->size() * sizeof(double)) == 0);
+    }
+    return value_ == other.value_;  // NA or string
+  }
 
   /// Readable rendering: "NA", the number, the string, or "<image:N>".
   std::string ToString() const;

@@ -1,5 +1,6 @@
 #include "data/column.h"
 
+#include <cstddef>
 #include <set>
 
 namespace bbv::data {
@@ -46,6 +47,15 @@ Column Column::Image(std::string name,
   cells.reserve(images.size());
   for (const auto& v : images) cells.emplace_back(v);
   return Column(std::move(name), ColumnType::kImage, std::move(cells));
+}
+
+void Column::KeepRows(std::span<const size_t> rows) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    BBV_DCHECK((i == 0 || rows[i - 1] < rows[i]) && rows[i] < cells_.size());
+    if (rows[i] != i) cells_[i] = std::move(cells_[rows[i]]);
+  }
+  cells_.erase(cells_.begin() + static_cast<ptrdiff_t>(rows.size()),
+               cells_.end());
 }
 
 size_t Column::CountNa() const {

@@ -1,6 +1,7 @@
 #ifndef BBV_DATA_COLUMN_H_
 #define BBV_DATA_COLUMN_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,11 @@ class Column {
   }
 
   void Append(CellValue value) { cells_.push_back(std::move(value)); }
+
+  /// Keeps only the cells at `rows`, which must be strictly ascending and in
+  /// range (checked in Debug builds; DataFrame::KeepRows always checks):
+  /// moves each kept cell down to its new slot, then truncates.
+  void KeepRows(std::span<const size_t> rows);
 
   const std::vector<CellValue>& cells() const { return cells_; }
 

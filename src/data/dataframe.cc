@@ -72,6 +72,15 @@ DataFrame DataFrame::SelectRows(const std::vector<size_t>& row_indices) const {
   return result;
 }
 
+void DataFrame::KeepRows(const std::vector<size_t>& ascending_rows) {
+  for (size_t i = 0; i < ascending_rows.size(); ++i) {
+    BBV_CHECK(i == 0 || ascending_rows[i - 1] < ascending_rows[i])
+        << "KeepRows needs strictly ascending rows";
+  }
+  if (!ascending_rows.empty()) BBV_CHECK_LT(ascending_rows.back(), NumRows());
+  for (Column& column : columns_) column.KeepRows(ascending_rows);
+}
+
 common::Result<DataFrame> DataFrame::SelectColumns(
     const std::vector<std::string>& names) const {
   DataFrame result;

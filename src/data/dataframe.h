@@ -53,6 +53,12 @@ class DataFrame {
   /// New frame containing the given rows (indices may repeat; order kept).
   DataFrame SelectRows(const std::vector<size_t>& row_indices) const;
 
+  /// Compacts this frame in place to the given rows, which must be strictly
+  /// ascending and in range: kept cells are moved, not copied, so no string
+  /// or image is reallocated. Cheaper than SelectRows when the full frame is
+  /// no longer needed.
+  void KeepRows(const std::vector<size_t>& ascending_rows);
+
   /// New frame containing only the named columns, in the given order.
   common::Result<DataFrame> SelectColumns(
       const std::vector<std::string>& names) const;

@@ -18,11 +18,19 @@ namespace bbv::ml {
 /// a batch of relational data. Models, feature maps, and hosting (local or
 /// simulated-cloud) all hide behind this interface — the `predict_proba`
 /// contract from the paper's problem statement.
+///
+/// Contract: PredictProba is row-independent. Row i of the result depends
+/// only on row i of `frame`, never on which other rows share the frame or
+/// on their order, so predicting a frame equals, bit for bit, predicting
+/// any split of it and stacking the pieces. Algorithm 1's collectors rely on
+/// this: a corrupted row that is bit-for-bit equal to its clean row reuses
+/// the clean row's output instead of being sent to the model again.
 class BlackBox {
  public:
   virtual ~BlackBox() = default;
 
-  /// Class probabilities (n x num_classes) for the rows of `frame`.
+  /// Class probabilities (n x num_classes) for the rows of `frame`;
+  /// row-independent (see the class comment).
   virtual common::Result<linalg::Matrix> PredictProba(
       const data::DataFrame& frame) const = 0;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "automl/cloud_service.h"
+#include "common/parallel.h"
 #include "datasets/images.h"
 #include "datasets/tabular.h"
 
@@ -96,6 +97,52 @@ TEST(CloudModelServiceTest, BatchSplittingPreservesPredictions) {
     for (size_t k = 0; k < batched->cols(); ++k) sum += batched->At(i, k);
     EXPECT_NEAR(sum, 1.0, 1e-9);
   }
+}
+
+TEST(CloudModelServiceTest, ConcurrentCallsAreMeteredExactly) {
+  // Algorithm 1 calls PredictProba from concurrent ParallelFor tasks; every
+  // call and row must land in the meters (a plain counter loses updates and
+  // is a data race under TSan).
+  common::Rng rng(8);
+  data::Dataset dataset = datasets::MakeIncome(800, rng);
+  auto [train, test] = data::TrainTestSplit(dataset, 0.7, rng);
+  CloudModelService::Options options;
+  options.max_batch_size = 50;
+  options.automl.cv_folds = 2;
+  CloudModelService service(options);
+  const auto hosted = service.TrainModel(train, rng);
+  ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+  const CloudHostedModel& model = **hosted;
+
+  constexpr size_t kCalls = 24;
+  common::ParallelOptions parallel;
+  parallel.threads = 4;
+  ASSERT_TRUE(common::ParallelFor(
+                  kCalls,
+                  [&](size_t) -> common::Status {
+                    return model.PredictProba(test.features).status();
+                  },
+                  parallel)
+                  .ok());
+  const size_t batches_per_call = (test.NumRows() + 49) / 50;
+  EXPECT_EQ(model.api_calls(), kCalls * batches_per_call);
+  EXPECT_EQ(model.rows_served(), kCalls * test.NumRows());
+}
+
+TEST(CloudModelServiceTest, EmptyFrameMakesNoApiCall) {
+  common::Rng rng(9);
+  data::Dataset dataset = datasets::MakeIncome(600, rng);
+  CloudModelService::Options options;
+  options.automl.cv_folds = 2;
+  CloudModelService service(options);
+  const auto hosted = service.TrainModel(dataset, rng);
+  ASSERT_TRUE(hosted.ok()) << hosted.status().ToString();
+  const auto empty = (*hosted)->PredictProba(dataset.features.SelectRows({}));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->rows(), 0u);
+  EXPECT_EQ(empty->cols(), 2u);
+  EXPECT_EQ((*hosted)->api_calls(), 0u);
+  EXPECT_EQ((*hosted)->rows_served(), 0u);
 }
 
 }  // namespace

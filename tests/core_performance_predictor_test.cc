@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 
+#include "common/telemetry.h"
+#include "core/performance_validator.h"
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
 #include "errors/numeric_errors.h"
@@ -214,6 +219,275 @@ TEST(PerformancePredictorTest, TrainFromStatisticsValidation) {
                   .ok());
   EXPECT_TRUE(predictor.trained());
   EXPECT_DOUBLE_EQ(predictor.test_score(), 0.8);
+}
+
+// ---------------------------------------------------------------------------
+// PredictCorruptedCopy: the corrupt -> predict step of Algorithm 1 that
+// sends only changed rows to the black box.
+// ---------------------------------------------------------------------------
+
+/// Forwards to a real model and meters what it is asked to predict.
+class MeteredBlackBox : public ml::BlackBox {
+ public:
+  explicit MeteredBlackBox(const ml::BlackBox& inner) : inner_(inner) {}
+
+  common::Result<linalg::Matrix> PredictProba(
+      const data::DataFrame& frame) const override {
+    ++calls_;
+    rows_ += frame.NumRows();
+    return inner_.PredictProba(frame);
+  }
+  int num_classes() const override { return inner_.num_classes(); }
+  std::string Name() const override { return "metered"; }
+
+  size_t calls() const { return calls_.load(); }
+  size_t rows() const { return rows_.load(); }
+
+ private:
+  const ml::BlackBox& inner_;
+  mutable std::atomic<size_t> calls_{0};
+  mutable std::atomic<size_t> rows_{0};
+};
+
+/// Answers the first call, then returns a fixed result for every later one:
+/// a black box that breaks after Train has scored the clean test set.
+class BreaksAfterFirstCall : public ml::BlackBox {
+ public:
+  BreaksAfterFirstCall(const ml::BlackBox& inner,
+                       common::Result<linalg::Matrix> later)
+      : inner_(inner), later_(std::move(later)) {}
+
+  common::Result<linalg::Matrix> PredictProba(
+      const data::DataFrame& frame) const override {
+    if (calls_++ == 0) return inner_.PredictProba(frame);
+    return later_;
+  }
+  int num_classes() const override { return inner_.num_classes(); }
+  std::string Name() const override { return "breaks"; }
+
+ private:
+  const ml::BlackBox& inner_;
+  common::Result<linalg::Matrix> later_;
+  mutable std::atomic<size_t> calls_{0};
+};
+
+void ExpectBitIdenticalRow(const linalg::Matrix& actual, size_t actual_row,
+                           const linalg::Matrix& expected,
+                           size_t expected_row) {
+  ASSERT_EQ(actual.cols(), expected.cols());
+  for (size_t k = 0; k < actual.cols(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual.At(actual_row, k)),
+              std::bit_cast<uint64_t>(expected.At(expected_row, k)))
+        << "row " << actual_row << " class " << k;
+  }
+}
+
+std::vector<size_t> AllRows(size_t n) {
+  std::vector<size_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = i;
+  return rows;
+}
+
+/// Index of the first numeric column holding a 0.0 cell, and that row.
+std::pair<size_t, size_t> FindZeroCell(const data::DataFrame& frame) {
+  for (size_t c = 0; c < frame.NumCols(); ++c) {
+    const data::Column& column = frame.column(c);
+    if (column.type() != data::ColumnType::kNumeric) continue;
+    for (size_t row = 0; row < column.size(); ++row) {
+      const data::CellValue& cell = column.cell(row);
+      if (cell.is_numeric() && std::bit_cast<uint64_t>(cell.AsDouble()) == 0) {
+        return {c, row};
+      }
+    }
+  }
+  BBV_CHECK(false) << "no 0.0 cell in the frame";
+  return {0, 0};
+}
+
+class PredictCorruptedCopyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    common::Rng rng(91);
+    fixture_ = MakeFixture(rng, 1200);
+    clean_ = fixture_.model->PredictProba(fixture_.test.features).ValueOrDie();
+  }
+
+  const data::DataFrame& clean_frame() const {
+    return fixture_.test.features;
+  }
+
+  Fixture fixture_;
+  linalg::Matrix clean_;
+};
+
+TEST_F(PredictCorruptedCopyTest, UnchangedCopyNeverCallsTheModel) {
+  const MeteredBlackBox model(*fixture_.model);
+  const auto result =
+      PredictCorruptedCopy(model, clean_frame(), clean_, clean_frame(),
+                           AllRows(clean_frame().NumRows()));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(model.calls(), 0u);
+  EXPECT_EQ(result->data(), clean_.data());
+}
+
+TEST_F(PredictCorruptedCopyTest, SendsOnlyChangedRowsAndMatchesFullPredict) {
+  data::DataFrame corrupted = clean_frame();
+  corrupted.column(0).cell(3) = data::CellValue::Na();
+  corrupted.ColumnByName("education").cell(7) = data::CellValue(5.0);
+  // A sign flip of 0.0 is == to the clean cell, but not bit for bit.
+  const auto [zero_column, zero_row] = FindZeroCell(clean_frame());
+  corrupted.column(zero_column).cell(zero_row) = data::CellValue(-0.0);
+  const linalg::Matrix full =
+      fixture_.model->PredictProba(corrupted).ValueOrDie();
+
+  const MeteredBlackBox model(*fixture_.model);
+  const uint64_t sent_before =
+      common::telemetry::ReadCounter("predictor.black_box_rows");
+  const uint64_t reused_before =
+      common::telemetry::ReadCounter("predictor.black_box_rows_reused");
+  const size_t n = clean_frame().NumRows();
+  const auto result = PredictCorruptedCopy(model, clean_frame(), clean_,
+                                           corrupted, AllRows(n));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const size_t changed = zero_row == 3 || zero_row == 7 ? 2 : 3;
+  EXPECT_EQ(model.calls(), 1u);
+  EXPECT_EQ(model.rows(), changed);
+  if (common::telemetry::Enabled()) {
+    EXPECT_EQ(common::telemetry::ReadCounter("predictor.black_box_rows") -
+                  sent_before,
+              changed);
+    EXPECT_EQ(
+        common::telemetry::ReadCounter("predictor.black_box_rows_reused") -
+            reused_before,
+        n - changed);
+  }
+  ASSERT_EQ(result->rows(), n);
+  for (size_t row = 0; row < n; ++row) {
+    ExpectBitIdenticalRow(*result, row, full, row);
+  }
+}
+
+TEST_F(PredictCorruptedCopyTest, DiffsOnlyTheRowsTheCallerReads) {
+  data::DataFrame corrupted = clean_frame();
+  corrupted.column(0).cell(3) = data::CellValue::Na();
+  corrupted.column(0).cell(7) = data::CellValue::Na();
+  const linalg::Matrix full =
+      fixture_.model->PredictProba(corrupted).ValueOrDie();
+  const MeteredBlackBox model(*fixture_.model);
+  const auto result =
+      PredictCorruptedCopy(model, clean_frame(), clean_, corrupted, {9, 7, 1});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(model.calls(), 1u);
+  EXPECT_EQ(model.rows(), 1u);
+  ExpectBitIdenticalRow(*result, 7, full, 7);
+  ExpectBitIdenticalRow(*result, 1, full, 1);
+  // Row 3 changed but is not read: it keeps the clean output.
+  ExpectBitIdenticalRow(*result, 3, clean_, 3);
+}
+
+TEST_F(PredictCorruptedCopyTest, ReadRowOutsideTheFrameIsInvalidArgument) {
+  const MeteredBlackBox model(*fixture_.model);
+  const auto result =
+      PredictCorruptedCopy(model, clean_frame(), clean_, clean_frame(),
+                           {0, clean_frame().NumRows()});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.calls(), 0u);
+}
+
+TEST_F(PredictCorruptedCopyTest, ShapeChangePredictsTheWholeFrame) {
+  const data::DataFrame shorter = clean_frame().SelectRows({0, 1, 2, 3});
+  const MeteredBlackBox model(*fixture_.model);
+  const auto result = PredictCorruptedCopy(
+      model, clean_frame(), clean_, shorter, AllRows(clean_frame().NumRows()));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(model.calls(), 1u);
+  EXPECT_EQ(model.rows(), 4u);
+  EXPECT_EQ(result->rows(), 4u);
+}
+
+TEST_F(PredictCorruptedCopyTest, SchemaChangePredictsTheWholeFrame) {
+  // Same shape, columns in another order: the model sees the frame whole
+  // and rejects it.
+  std::vector<std::string> names = clean_frame().ColumnNames();
+  std::swap(names.front(), names.back());
+  const data::DataFrame reordered =
+      clean_frame().SelectColumns(names).ValueOrDie();
+  const MeteredBlackBox model(*fixture_.model);
+  const auto result =
+      PredictCorruptedCopy(model, clean_frame(), clean_, reordered,
+                           AllRows(clean_frame().NumRows()));
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(model.calls(), 1u);
+  EXPECT_EQ(model.rows(), clean_frame().NumRows());
+}
+
+TEST_F(PredictCorruptedCopyTest, WrongResultShapeIsInvalidArgument) {
+  data::DataFrame corrupted = clean_frame();
+  corrupted.column(0).cell(3) = data::CellValue::Na();
+  // Answers every call with the full clean matrix, whatever it was asked.
+  const BreaksAfterFirstCall model(*fixture_.model, clean_);
+  ASSERT_TRUE(model.PredictProba(clean_frame()).ok());
+  const auto result =
+      PredictCorruptedCopy(model, clean_frame(), clean_, corrupted,
+                           AllRows(clean_frame().NumRows()));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+}
+
+TEST_F(PredictCorruptedCopyTest, TrainFailsOnBlackBoxErrorAndWrongShape) {
+  const errors::MissingValues missing;
+  const std::vector<const errors::ErrorGen*> generators = {&missing};
+  const BreaksAfterFirstCall failing(
+      *fixture_.model, common::Status::Internal("endpoint unavailable"));
+  PerformancePredictor predictor(FastOptions());
+  common::Rng rng(5);
+  const common::Status failed =
+      predictor.Train(failing, fixture_.test, generators, rng);
+  EXPECT_EQ(failed.code(), common::StatusCode::kInternal);
+  EXPECT_FALSE(predictor.trained());
+
+  const BreaksAfterFirstCall misshapen(*fixture_.model, clean_);
+  PerformancePredictor other(FastOptions());
+  EXPECT_EQ(other.Train(misshapen, fixture_.test, generators, rng).code(),
+            common::StatusCode::kInvalidArgument);
+
+  // The validator collects through the same step.
+  PerformanceValidator::Options validator_options;
+  validator_options.corruptions_per_generator = 10;
+  PerformanceValidator validator(validator_options);
+  const BreaksAfterFirstCall also_failing(
+      *fixture_.model, common::Status::Internal("endpoint unavailable"));
+  EXPECT_EQ(
+      validator.Train(also_failing, fixture_.test, generators, rng).code(),
+      common::StatusCode::kInternal);
+  EXPECT_FALSE(validator.trained());
+}
+
+TEST_F(PredictCorruptedCopyTest, TrainCountsSentAndReusedRows) {
+  if (!common::telemetry::Enabled()) GTEST_SKIP() << "telemetry disabled";
+  const errors::MissingValues missing;
+  const std::vector<const errors::ErrorGen*> generators = {&missing};
+  PerformancePredictor::Options options = FastOptions();
+  options.corruptions_per_generator = 10;
+  PerformancePredictor predictor(options);
+  const MeteredBlackBox model(*fixture_.model);
+  const uint64_t sent_before =
+      common::telemetry::ReadCounter("predictor.black_box_rows");
+  const uint64_t reused_before =
+      common::telemetry::ReadCounter("predictor.black_box_rows_reused");
+  common::Rng rng(6);
+  ASSERT_TRUE(predictor.Train(model, fixture_.test, generators, rng).ok());
+  const uint64_t sent =
+      common::telemetry::ReadCounter("predictor.black_box_rows") - sent_before;
+  const uint64_t reused =
+      common::telemetry::ReadCounter("predictor.black_box_rows_reused") -
+      reused_before;
+  const size_t n = fixture_.test.NumRows();
+  // The clean pass plus every corrupted row is either sent or reused.
+  EXPECT_EQ(sent, model.rows());
+  EXPECT_EQ(sent + reused, n + 10 * n);
+  EXPECT_GT(reused, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "data/cell_value.h"
 #include "data/column.h"
 
@@ -53,6 +60,53 @@ TEST(CellValueTest, EqualityBetweenKinds) {
   EXPECT_FALSE(CellValue(1.0) == CellValue(2.0));
   EXPECT_FALSE(CellValue(1.0) == CellValue("1.0"));
   EXPECT_FALSE(CellValue::Na() == CellValue(0.0));
+}
+
+TEST(CellValueTest, BitwiseEqualsSeparatesSignedZeros) {
+  // operator== calls them equal; a model may not (1 / x, std::signbit).
+  EXPECT_EQ(CellValue(-0.0), CellValue(0.0));
+  EXPECT_FALSE(CellValue(-0.0).BitwiseEquals(CellValue(0.0)));
+  EXPECT_TRUE(CellValue(-0.0).BitwiseEquals(CellValue(-0.0)));
+  EXPECT_TRUE(CellValue(2.5).BitwiseEquals(CellValue(2.5)));
+  EXPECT_FALSE(
+      CellValue(2.5).BitwiseEquals(CellValue(std::nextafter(2.5, 3.0))));
+}
+
+TEST(CellValueTest, BitwiseEqualsComparesNanPayloads) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan =
+      std::bit_cast<double>(std::bit_cast<uint64_t>(nan) | uint64_t{1});
+  ASSERT_TRUE(std::isnan(other_nan));
+  // operator== never calls a NaN equal, not even to itself.
+  EXPECT_FALSE(CellValue(nan) == CellValue(nan));
+  EXPECT_TRUE(CellValue(nan).BitwiseEquals(CellValue(nan)));
+  EXPECT_FALSE(CellValue(nan).BitwiseEquals(CellValue(other_nan)));
+}
+
+TEST(CellValueTest, BitwiseEqualsComparesEveryPixel) {
+  const std::vector<double> pixels = {0.0, 0.25, 0.5, 1.0};
+  std::vector<double> changed = pixels;
+  changed[2] = 0.75;
+  std::vector<double> signed_zero = pixels;
+  signed_zero[0] = -0.0;
+  EXPECT_TRUE(CellValue(pixels).BitwiseEquals(CellValue(pixels)));
+  EXPECT_FALSE(CellValue(pixels).BitwiseEquals(CellValue(changed)));
+  EXPECT_FALSE(CellValue(pixels).BitwiseEquals(CellValue(signed_zero)));
+  EXPECT_FALSE(CellValue(pixels).BitwiseEquals(
+      CellValue(std::vector<double>(pixels.begin(), pixels.end() - 1))));
+  EXPECT_TRUE(CellValue(std::vector<double>{})
+                  .BitwiseEquals(CellValue(std::vector<double>{})));
+}
+
+TEST(CellValueTest, BitwiseEqualsComparesStringsAndNaByValue) {
+  EXPECT_TRUE(CellValue::Na().BitwiseEquals(CellValue::Na()));
+  EXPECT_TRUE(CellValue("Married-civ-spouse")
+                  .BitwiseEquals(CellValue(std::string("Married-civ-spouse"))));
+  EXPECT_FALSE(CellValue("a").BitwiseEquals(CellValue("b")));
+  EXPECT_FALSE(CellValue("NA").BitwiseEquals(CellValue::Na()));
+  EXPECT_FALSE(CellValue::Na().BitwiseEquals(CellValue("")));
+  EXPECT_FALSE(CellValue(1.0).BitwiseEquals(CellValue("1")));
+  EXPECT_FALSE(CellValue::Na().BitwiseEquals(CellValue(0.0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -140,6 +194,66 @@ TEST(DataFrameTest, SelectRows) {
   EXPECT_EQ(subset.NumRows(), 2u);
   EXPECT_DOUBLE_EQ(subset.ColumnByName("age").cell(0).AsDouble(), 40.0);
   EXPECT_EQ(subset.ColumnByName("job").cell(1).AsString(), "a");
+}
+
+DataFrame MakeLongFrame() {
+  DataFrame frame;
+  BBV_CHECK(frame.AddColumn(Column::Numeric("x", {0, 1, 2, 3, 4})).ok());
+  BBV_CHECK(frame
+                .AddColumn(Column::Categorical(
+                    "level", {"level-zero-longer-than-sso", "one", "two",
+                              "three", "level-four-longer-than-sso"}))
+                .ok());
+  return frame;
+}
+
+/// KeepRows must leave exactly what SelectRows copies out.
+void ExpectKeepRowsMatchesSelectRows(const std::vector<size_t>& rows) {
+  const DataFrame frame = MakeLongFrame();
+  DataFrame kept = frame;
+  kept.KeepRows(rows);
+  const DataFrame selected = frame.SelectRows(rows);
+  ASSERT_EQ(kept.NumCols(), selected.NumCols());
+  ASSERT_EQ(kept.NumRows(), rows.size());
+  for (size_t c = 0; c < kept.NumCols(); ++c) {
+    EXPECT_EQ(kept.column(c).name(), selected.column(c).name());
+    EXPECT_EQ(kept.column(c).type(), selected.column(c).type());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_TRUE(kept.column(c).cell(r).BitwiseEquals(
+          selected.column(c).cell(r)))
+          << "column " << c << " row " << r;
+    }
+  }
+}
+
+TEST(DataFrameTest, KeepRowsEmptyLeavesNoRows) {
+  ExpectKeepRowsMatchesSelectRows({});
+}
+
+TEST(DataFrameTest, KeepRowsAllRowsIsIdentity) {
+  ExpectKeepRowsMatchesSelectRows({0, 1, 2, 3, 4});
+}
+
+TEST(DataFrameTest, KeepRowsFirstRow) { ExpectKeepRowsMatchesSelectRows({0}); }
+
+TEST(DataFrameTest, KeepRowsLastRow) { ExpectKeepRowsMatchesSelectRows({4}); }
+
+TEST(DataFrameTest, KeepRowsCompactsScatteredRows) {
+  ExpectKeepRowsMatchesSelectRows({1, 3, 4});
+  ExpectKeepRowsMatchesSelectRows({0, 2});
+}
+
+TEST(DataFrameTest, KeepRowsOnEmptyFrame) {
+  DataFrame frame;
+  frame.KeepRows({});
+  EXPECT_EQ(frame.NumRows(), 0u);
+  EXPECT_EQ(frame.NumCols(), 0u);
+}
+
+TEST(DataFrameDeathTest, KeepRowsRejectsUnsortedOrOutOfRangeRows) {
+  EXPECT_DEATH(MakeLongFrame().KeepRows({2, 1}), "ascending");
+  EXPECT_DEATH(MakeLongFrame().KeepRows({1, 1}), "ascending");
+  EXPECT_DEATH(MakeLongFrame().KeepRows({5}), "");
 }
 
 TEST(DataFrameTest, SelectColumns) {
