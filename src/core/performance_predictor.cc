@@ -119,12 +119,28 @@ PerformancePredictor::PerformancePredictor(Options options)
   }
 }
 
-common::Status PerformancePredictor::Train(
+namespace {
+
+/// Folds of the tree-count grid search and of the conformal residual pass.
+constexpr int kCvFolds = 5;
+constexpr int kCalibrationFolds = 5;
+
+/// Options of every forest the predictor fits: grid-search candidates,
+/// the final regressor and the calibration fold refits.
+ml::RandomForestRegressor::Options ForestOptions(int num_trees) {
+  ml::RandomForestRegressor::Options options;
+  options.num_trees = num_trees;
+  return options;
+}
+
+}  // namespace
+
+common::Result<MetaExamples> CollectMetaExamples(
     const ml::BlackBox& model, const data::Dataset& test,
     const std::vector<const errors::ErrorGen*>& generators,
+    const std::vector<size_t>& row_pool,
+    const PerformancePredictor::Options& options, bool keep_batches,
     common::Rng& rng) {
-  const common::telemetry::TraceSpan span("predictor.train");
-  common::telemetry::IncrementCounter("predictor.train.calls");
   if (test.NumRows() == 0) {
     return common::Status::InvalidArgument("empty test dataset");
   }
@@ -132,38 +148,51 @@ common::Status PerformancePredictor::Train(
     return common::Status::InvalidArgument(
         "need at least one error generator");
   }
+  if (options.clean_copies < 0 || options.corruptions_per_generator < 0) {
+    return common::Status::InvalidArgument(
+        "clean_copies and corruptions_per_generator must not be negative");
+  }
+  std::vector<size_t> pool = row_pool;
+  if (pool.empty()) {
+    pool.resize(test.NumRows());
+    std::iota(pool.begin(), pool.end(), size_t{0});
+  }
+  if (*std::max_element(pool.begin(), pool.end()) >= test.NumRows()) {
+    return common::Status::InvalidArgument("row pool outside the test set");
+  }
 
   // Score on the clean test data (line 2 of Algorithm 1).
-  BBV_ASSIGN_OR_RETURN(linalg::Matrix clean_probabilities,
+  MetaExamples examples;
+  BBV_ASSIGN_OR_RETURN(examples.clean_probabilities,
                        model.PredictProba(test.features));
   common::telemetry::IncrementCounter("predictor.black_box_rows",
                                       test.NumRows());
-  test_score_ = ComputeScore(options_.metric, clean_probabilities, test.labels);
+  examples.test_score =
+      ComputeScore(options.metric, examples.clean_probabilities, test.labels);
 
-  // Collect the meta-training set M (lines 3-12). Every corrupt → predict →
-  // score pass is independent, so the collection fans out over the shared
-  // thread pool: one pre-forked Rng per task keeps the collected set (and
-  // hence the serialized model) bit-identical at every thread count.
-  const bool subsample = options_.meta_batch_size > 0 &&
-                         options_.meta_batch_size < test.NumRows();
-  std::vector<size_t> all_rows(test.NumRows());
-  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-  std::vector<const errors::ErrorGen*> task_generators;
-  for (int c = 0; c < options_.clean_copies; ++c) {
-    task_generators.push_back(nullptr);  // clean copy
-  }
+  const std::vector<double> grid = options.percentile_points.empty()
+                                        ? DefaultPercentilePoints()
+                                        : options.percentile_points;
+  // Lines 3-12. Every corrupt -> predict -> score pass is independent, so
+  // the collection fans out over the shared thread pool: one pre-forked Rng
+  // per task keeps M (and hence every trained byte) identical at every
+  // thread count.
+  const bool subsample =
+      options.meta_batch_size > 0 && options.meta_batch_size < pool.size();
+  std::vector<const errors::ErrorGen*> task_generators(
+      static_cast<size_t>(options.clean_copies), nullptr);
   for (const errors::ErrorGen* generator : generators) {
     BBV_CHECK(generator != nullptr);
-    for (int repetition = 0; repetition < options_.corruptions_per_generator;
-         ++repetition) {
-      task_generators.push_back(generator);
-    }
+    task_generators.insert(
+        task_generators.end(),
+        static_cast<size_t>(options.corruptions_per_generator), generator);
   }
   common::telemetry::IncrementCounter("predictor.meta_examples",
                                       task_generators.size());
   std::vector<common::Rng> task_rngs = rng.ForkStreams(task_generators.size());
-  std::vector<std::vector<double>> feature_rows(task_generators.size());
-  std::vector<double> scores(task_generators.size());
+  examples.statistics.resize(task_generators.size());
+  examples.scores.resize(task_generators.size());
+  if (keep_batches) examples.batches.resize(task_generators.size());
   BBV_RETURN_NOT_OK(common::ParallelFor(
       task_generators.size(), [&](size_t task) -> common::Status {
         common::Rng& task_rng = task_rngs[task];
@@ -172,40 +201,58 @@ common::Status PerformancePredictor::Train(
         if (generator != nullptr) {
           BBV_ASSIGN_OR_RETURN(corrupted,
                                generator->Corrupt(test.features, task_rng));
+          if (corrupted.NumRows() != test.NumRows()) {
+            return common::Status::InvalidArgument(
+                "error generator " + generator->Name() + " returned " +
+                std::to_string(corrupted.NumRows()) + " rows for a " +
+                std::to_string(test.NumRows()) +
+                "-row test set; corruptions must keep the row count");
+          }
         }
         // The subsample is drawn right after Corrupt, before the model runs;
-        // PredictProba draws nothing, so the task stream is consumed in the
-        // same order as when the draw followed the prediction.
+        // PredictProba draws nothing.
         std::vector<size_t> sampled_rows;
         if (subsample) {
-          sampled_rows = task_rng.SampleWithoutReplacement(
-              test.NumRows(), options_.meta_batch_size);
+          for (size_t pick : task_rng.SampleWithoutReplacement(
+                   pool.size(), options.meta_batch_size)) {
+            sampled_rows.push_back(pool[pick]);
+          }
         }
-        const std::vector<size_t>& rows = subsample ? sampled_rows : all_rows;
-        const linalg::Matrix* probabilities = &clean_probabilities;
+        const std::vector<size_t>& rows = subsample ? sampled_rows : pool;
+        const linalg::Matrix* probabilities = &examples.clean_probabilities;
         linalg::Matrix corrupted_probabilities;
         if (generator != nullptr) {
           BBV_ASSIGN_OR_RETURN(
               corrupted_probabilities,
-              PredictCorruptedCopy(model, test.features, clean_probabilities,
+              PredictCorruptedCopy(model, test.features,
+                                   examples.clean_probabilities,
                                    std::move(corrupted), rows));
           probabilities = &corrupted_probabilities;
         }
-        if (subsample) {
-          // Row-index view: no per-repetition sub-matrix/label copies.
-          feature_rows[task] = PredictionStatistics(
-              *probabilities, rows, options_.percentile_points);
-          scores[task] =
-              ComputeScore(options_.metric, *probabilities, rows, test.labels);
-        } else {
-          feature_rows[task] = PredictionStatistics(
-              *probabilities, options_.percentile_points);
-          scores[task] =
-              ComputeScore(options_.metric, *probabilities, test.labels);
+        examples.statistics[task] =
+            PredictionStatistics(*probabilities, rows, grid);
+        examples.scores[task] =
+            ComputeScore(options.metric, *probabilities, rows, test.labels);
+        if (keep_batches) {
+          examples.batches[task] = probabilities->SelectRows(rows);
         }
         return common::Status::OK();
       }));
-  return TrainFromStatistics(feature_rows, scores, test_score_, rng);
+  return examples;
+}
+
+common::Status PerformancePredictor::Train(
+    const ml::BlackBox& model, const data::Dataset& test,
+    const std::vector<const errors::ErrorGen*>& generators,
+    common::Rng& rng) {
+  const common::telemetry::TraceSpan span("predictor.train");
+  common::telemetry::IncrementCounter("predictor.train.calls");
+  BBV_ASSIGN_OR_RETURN(
+      const MetaExamples examples,
+      CollectMetaExamples(model, test, generators, /*row_pool=*/{}, options_,
+                          /*keep_batches=*/false, rng));
+  return TrainFromStatistics(examples.statistics, examples.scores,
+                             examples.test_score, rng);
 }
 
 common::Status PerformancePredictor::TrainFromStatistics(
@@ -218,6 +265,9 @@ common::Status PerformancePredictor::TrainFromStatistics(
   if (statistics.empty()) {
     return common::Status::InvalidArgument("no meta-training examples");
   }
+  if (options_.tree_count_grid.empty()) {
+    return common::Status::InvalidArgument("empty tree_count_grid");
+  }
   test_score_ = test_score;
   const linalg::Matrix features = linalg::Matrix::FromRows(statistics);
   num_training_examples_ = scores.size();
@@ -225,23 +275,18 @@ common::Status PerformancePredictor::TrainFromStatistics(
 
   // Grid search over the number of trees with k-fold CV on MAE (line 13;
   // paper §4 trains a RandomForestRegressor with five-fold CV).
-  BBV_CHECK(!options_.tree_count_grid.empty());
   int best_trees = options_.tree_count_grid.front();
   double best_mae = -1.0;
   if (options_.tree_count_grid.size() > 1 &&
-      scores.size() >= static_cast<size_t>(options_.cv_folds)) {
+      scores.size() >= static_cast<size_t>(kCvFolds)) {
     for (int tree_count : options_.tree_count_grid) {
-      const bool binned = options_.binned_split_search;
-      auto factory = [tree_count, binned]() {
-        ml::RandomForestRegressor::Options forest_options;
-        forest_options.num_trees = tree_count;
-        forest_options.tree.binned_split_search = binned;
-        return ml::RandomForestRegressor(forest_options);
-      };
       BBV_ASSIGN_OR_RETURN(
           double mae,
-          ml::CrossValRegressionMae(factory, features, scores,
-                                    options_.cv_folds, rng));
+          ml::CrossValRegressionMae(
+              [tree_count] {
+                return ml::RandomForestRegressor(ForestOptions(tree_count));
+              },
+              features, scores, kCvFolds, rng));
       if (best_mae < 0.0 || mae < best_mae) {
         best_mae = mae;
         best_trees = tree_count;
@@ -250,10 +295,7 @@ common::Status PerformancePredictor::TrainFromStatistics(
   }
   selected_tree_count_ = best_trees;
 
-  ml::RandomForestRegressor::Options forest_options;
-  forest_options.num_trees = best_trees;
-  forest_options.tree.binned_split_search = options_.binned_split_search;
-  regressor_ = ml::RandomForestRegressor(forest_options);
+  regressor_ = ml::RandomForestRegressor(ForestOptions(best_trees));
   BBV_RETURN_NOT_OK(regressor_.Fit(features, scores, rng));
   // The conformal pass runs strictly AFTER the final fit and on its own
   // internal Rng: it neither perturbs the Rng draws the forest consumed nor
@@ -262,8 +304,8 @@ common::Status PerformancePredictor::TrainFromStatistics(
   // and every later draw from `rng` are byte-identical whether calibration
   // is on or off.
   calibrator_ = ConformalCalibrator();
-  if (options_.conformal_calibration && options_.calibration_folds >= 2 &&
-      scores.size() >= static_cast<size_t>(options_.calibration_folds)) {
+  if (options_.conformal_calibration &&
+      scores.size() >= static_cast<size_t>(kCalibrationFolds)) {
     BBV_RETURN_NOT_OK(CalibrateConformal(features, scores));
   }
   trained_ = true;
@@ -273,54 +315,41 @@ common::Status PerformancePredictor::TrainFromStatistics(
 common::Status PerformancePredictor::CalibrateConformal(
     const linalg::Matrix& features, const std::vector<double>& scores) {
   const common::telemetry::TraceSpan span("predictor.calibrate");
-  const bool scaled =
-      options_.conformal_mode == ConformalCalibrator::Mode::kQuantileForest;
   // Fixed-seed internal stream, deliberately NOT the training Rng: drawing
   // the fold permutation from the caller's stream would shift every Rng
   // consumer downstream of Train, breaking seed-pinned fixtures and replays
   // that predate calibration. The fold split only needs to be deterministic,
   // which a constant seed plus the example count provides.
   common::Rng rng(0xC0'4F'0B'A1ull + scores.size());
-  const std::vector<ml::Fold> folds = ml::KFoldIndices(
-      scores.size(), options_.calibration_folds, rng);
-  // Fold refits are independent and write disjoint slots; one pre-forked
-  // stream per fold keeps the residual multiset — and hence the canonical
-  // sorted calibration state — byte-identical at every BBV_THREADS.
-  std::vector<common::Rng> fold_rngs = rng.ForkStreams(folds.size());
-  std::vector<std::vector<double>> fold_predictions(folds.size());
-  std::vector<std::vector<double>> fold_spreads(folds.size());
-  BBV_RETURN_NOT_OK(common::ParallelFor(
-      folds.size(), [&](size_t f) -> common::Status {
-        const ml::Fold& fold = folds[f];
-        const linalg::Matrix train_x = features.SelectRows(fold.train_rows);
-        const linalg::Matrix test_x = features.SelectRows(fold.test_rows);
-        std::vector<double> train_y;
-        train_y.reserve(fold.train_rows.size());
-        for (size_t row : fold.train_rows) train_y.push_back(scores[row]);
-        ml::RandomForestRegressor::Options forest_options;
-        forest_options.num_trees = selected_tree_count_;
-        forest_options.tree.binned_split_search =
-            options_.binned_split_search;
-        ml::RandomForestRegressor fold_model(forest_options);
-        BBV_RETURN_NOT_OK(fold_model.Fit(train_x, train_y, fold_rngs[f]));
-        fold_predictions[f].resize(fold.test_rows.size());
-        fold_model.PredictInto(test_x, fold_predictions[f]);
-        if (scaled) {
-          // Difficulty scale from the FINAL forest, not the fold model: the
-          // normalized-conformal guarantee needs one fixed sigma(x) shared
-          // between calibration and serving, and fold forests (fit on a 1 -
-          // 1/folds fraction) have systematically wider tree spreads, which
-          // would deflate every calibration score and undercover at serving
-          // time. Residuals above stay honest (out-of-fold) regardless.
-          fold_spreads[f].reserve(fold.test_rows.size());
-          for (size_t i = 0; i < fold.test_rows.size(); ++i) {
-            fold_spreads[f].push_back(TreeValueSpread(test_x.RowData(i)));
-          }
-        }
-        return common::Status::OK();
-      }));
+  std::vector<std::vector<double>> fold_predictions(
+      static_cast<size_t>(kCalibrationFolds));
+  BBV_ASSIGN_OR_RETURN(
+      const std::vector<ml::Fold> folds,
+      ml::ForEachFold(
+          scores.size(), kCalibrationFolds, rng,
+          [&](size_t f, const ml::Fold& fold, common::Rng& fold_rng) {
+            std::vector<double> train_y;
+            train_y.reserve(fold.train_rows.size());
+            for (size_t row : fold.train_rows) train_y.push_back(scores[row]);
+            ml::RandomForestRegressor fold_model(
+                ForestOptions(selected_tree_count_));
+            BBV_RETURN_NOT_OK(fold_model.Fit(
+                features.SelectRows(fold.train_rows), train_y, fold_rng));
+            fold_predictions[f].resize(fold.test_rows.size());
+            fold_model.PredictInto(features.SelectRows(fold.test_rows),
+                                   fold_predictions[f]);
+            return common::Status::OK();
+          }));
   // Serial assembly in fold-major order; the calibrator canonicalizes by
   // sorting, so assembly order never reaches the stored state anyway.
+  // Difficulty scales come from the FINAL forest, not the fold models: the
+  // normalized-conformal guarantee needs one fixed sigma(x) shared between
+  // calibration and serving, and fold forests (fit on a 1 - 1/folds
+  // fraction) have systematically wider tree spreads, which would deflate
+  // every calibration score and undercover at serving time. Residuals stay
+  // honest (out-of-fold) regardless.
+  const bool scaled =
+      options_.conformal_mode == ConformalCalibrator::Mode::kQuantileForest;
   std::vector<double> truths;
   std::vector<double> predictions;
   std::vector<double> spreads;
@@ -329,9 +358,10 @@ common::Status PerformancePredictor::CalibrateConformal(
   if (scaled) spreads.reserve(scores.size());
   for (size_t f = 0; f < folds.size(); ++f) {
     for (size_t i = 0; i < folds[f].test_rows.size(); ++i) {
-      truths.push_back(scores[folds[f].test_rows[i]]);
+      const size_t row = folds[f].test_rows[i];
+      truths.push_back(scores[row]);
       predictions.push_back(fold_predictions[f][i]);
-      if (scaled) spreads.push_back(fold_spreads[f][i]);
+      if (scaled) spreads.push_back(TreeValueSpread(features.RowData(row)));
     }
   }
   BBV_ASSIGN_OR_RETURN(

@@ -36,8 +36,8 @@ double ComputeScore(ScoreMetric metric, const linalg::Matrix& probabilities,
                     const std::vector<size_t>& rows,
                     const std::vector<int>& labels);
 
-/// Algorithm 1's predict step for one corrupted copy of the test set,
-/// shared by PerformancePredictor::Train and PerformanceValidator::Train.
+/// Algorithm 1's predict step for one corrupted copy of the test set, as
+/// CollectMetaExamples (below) runs it.
 /// Returns the black box's outputs on `corrupted` for the distinct rows in
 /// `rows_read` (the rows the caller will read); every other row holds the
 /// clean output. Only the read rows that differ bit for bit from `clean`
@@ -80,29 +80,20 @@ class PerformancePredictor {
     /// the expected serving batch size so the output statistics carry the
     /// same sampling noise at training and serving time.
     size_t meta_batch_size = 0;
-    /// Grid searched over the random forest's tree count with
-    /// `cv_folds`-fold cross validation minimizing MAE (paper §4).
+    /// Grid searched over the random forest's tree count with five-fold
+    /// cross validation minimizing MAE (paper §4). Must not be empty.
     std::vector<int> tree_count_grid = {25, 50, 100};
-    int cv_folds = 5;
-    /// Opt-in histogram (256-bin quantile) split search for every forest
-    /// this predictor fits — the CV grid-search candidates and the final
-    /// regressor. Cheapens per-tenant (re)training; results stay
-    /// deterministic and thread-count independent, but are a bounded
-    /// approximation of the exact split search (see TreeOptions).
-    bool binned_split_search = false;
     /// Conformal calibration of the estimate intervals (ScoreEstimate
     /// lo/hi). When on, training runs an out-of-fold residual pass *after*
     /// the final regressor fit — the fitted forest (and hence every
     /// `.point`) is byte-for-byte what an uncalibrated train produces.
     /// Calibration is skipped (estimates stay degenerate) when there are
-    /// fewer meta-training examples than calibration folds.
+    /// fewer meta-training examples than its five folds.
     bool conformal_calibration = true;
     /// Nonconformity mode: kSplitConformal for constant-width intervals,
     /// kQuantileForest for locally scaled ones (see ConformalCalibrator).
     ConformalCalibrator::Mode conformal_mode =
         ConformalCalibrator::Mode::kSplitConformal;
-    /// Folds of the out-of-fold residual pass.
-    int calibration_folds = 5;
     /// Nominal marginal coverage of the intervals the EstimateScore*
     /// surfaces return; explicit-coverage overloads exist for callers that
     /// sweep coverage levels.
@@ -191,6 +182,9 @@ class PerformancePredictor {
     return options_.percentile_points;
   }
 
+  /// The options the predictor was built or loaded with.
+  const Options& options() const { return options_; }
+
   /// Length of the percentile feature vector the regressor expects
   /// (num_classes * percentile grid size); 0 before training.
   size_t feature_dimension() const { return feature_dimension_; }
@@ -254,6 +248,36 @@ class PerformancePredictor {
   ml::RandomForestRegressor regressor_;
   ConformalCalibrator calibrator_;
 };
+
+/// Algorithm 1's meta-training set M (lines 2-12): the clean outputs and
+/// score l_test, then one (statistics, score) pair per example, clean copies
+/// first and then each generator's copies in order, and, when asked for,
+/// each example's read rows of its model outputs.
+struct MetaExamples {
+  linalg::Matrix clean_probabilities;
+  double test_score = 0.0;
+  std::vector<std::vector<double>> statistics;
+  std::vector<double> scores;
+  std::vector<linalg::Matrix> batches;
+};
+
+/// The one meta-example collector, behind PerformancePredictor::Train and
+/// PerformanceValidator::Train. Each example reads the rows of `row_pool`
+/// (all rows when empty), or a options.meta_batch_size subsample of them,
+/// through the row-view PredictionStatistics (on the default grid when
+/// options.percentile_points is empty) and ComputeScore; over all
+/// rows in order these give the bytes of the full-matrix overloads. Draw
+/// order: one stream per example is forked from `rng`, and each example
+/// draws its Corrupt and then its subsample from its own stream, so M is
+/// identical at every BBV_THREADS. InvalidArgument for an empty `test`, no
+/// generators, a negative copy count, a pool row outside `test`, and a
+/// corruption that changes the row count.
+common::Result<MetaExamples> CollectMetaExamples(
+    const ml::BlackBox& model, const data::Dataset& test,
+    const std::vector<const errors::ErrorGen*>& generators,
+    const std::vector<size_t>& row_pool,
+    const PerformancePredictor::Options& options, bool keep_batches,
+    common::Rng& rng);
 
 }  // namespace bbv::core
 

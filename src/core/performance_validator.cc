@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "core/prediction_statistics.h"
 #include "ml/cross_validation.h"
@@ -12,26 +11,29 @@
 namespace bbv::core {
 
 namespace {
-
-/// The validator only ever consumes the internal predictor's point
-/// estimate (BuildFeatures / the degenerate fallback), so the conformal
-/// calibration pass — five extra fold refits per Train — would be pure
-/// cost here. Keep it off.
-PerformancePredictor::Options WithoutCalibration(
-    PerformancePredictor::Options options) {
-  options.conformal_calibration = false;
-  return options;
-}
-
+/// Folds of the out-of-fold decision-cutoff search.
+constexpr int kCutoffFolds = 3;
 }  // namespace
 
 PerformanceValidator::PerformanceValidator(Options options)
-    : options_(std::move(options)),
-      predictor_(WithoutCalibration(options_.predictor)) {
+    : options_(std::move(options)) {
   if (options_.percentile_points.empty()) {
     options_.percentile_points = DefaultPercentilePoints();
   }
   BBV_CHECK(options_.threshold > 0.0 && options_.threshold < 1.0);
+  // The internal predictor takes the validator's grid, metric and
+  // collection fields, so one CollectMetaExamples pass feeds both. Only its
+  // point estimate is ever read, so the conformal pass (five extra fold
+  // refits per Train) would be pure cost: keep it off.
+  PerformancePredictor::Options predictor;
+  predictor.corruptions_per_generator = options_.corruptions_per_generator;
+  predictor.clean_copies = options_.clean_copies;
+  predictor.percentile_points = options_.percentile_points;
+  predictor.metric = options_.metric;
+  predictor.meta_batch_size = options_.meta_batch_size;
+  predictor.tree_count_grid = options_.predictor_tree_count_grid;
+  predictor.conformal_calibration = false;
+  predictor_ = PerformancePredictor(std::move(predictor));
 }
 
 common::Status PerformanceValidator::Train(
@@ -40,25 +42,12 @@ common::Status PerformanceValidator::Train(
     common::Rng& rng) {
   const common::telemetry::TraceSpan span("validator.train");
   common::telemetry::IncrementCounter("validator.train.calls");
-  if (test.NumRows() == 0) {
-    return common::Status::InvalidArgument("empty test dataset");
-  }
-  if (generators.empty()) {
-    return common::Status::InvalidArgument(
-        "need at least one error generator");
-  }
-  BBV_ASSIGN_OR_RETURN(linalg::Matrix clean_probabilities,
-                       model.PredictProba(test.features));
-  common::telemetry::IncrementCounter("predictor.black_box_rows",
-                                      test.NumRows());
-  test_score_ =
-      ComputeScore(options_.metric, clean_probabilities, test.labels);
-
   // Split the test rows into a KS-reference half and a meta-example half.
   // At validation time the serving batch is disjoint from the retained
   // reference outputs, so the meta-examples must be disjoint from them too
   // — otherwise the training-time KS statistics are biased low (overlapping
-  // samples) and every real serving batch looks shifted.
+  // samples) and every real serving batch looks shifted. The split is drawn
+  // before the collector forks its task streams.
   std::vector<size_t> shuffled_rows = rng.Permutation(test.NumRows());
   const size_t reference_count = test.NumRows() / 2;
   const std::vector<size_t> reference_rows(
@@ -71,91 +60,28 @@ common::Status PerformanceValidator::Train(
     return common::Status::InvalidArgument(
         "test dataset too small to split into reference and example halves");
   }
-  test_probabilities_ = clean_probabilities.SelectRows(reference_rows);
 
   // One corruption pass shared between the internal performance predictor
-  // and the validator's decision model. The passes are independent, so they
-  // fan out over the shared thread pool with one pre-forked Rng per task;
-  // results land in per-task slots, keeping training bit-identical at every
-  // thread count.
-  const size_t batch_size =
-      options_.meta_batch_size > 0
-          ? std::min(options_.meta_batch_size, example_rows.size())
-          : example_rows.size();
-  std::vector<const errors::ErrorGen*> task_generators;
-  for (int c = 0; c < options_.clean_copies; ++c) {
-    task_generators.push_back(nullptr);  // clean copy
-  }
-  for (const errors::ErrorGen* generator : generators) {
-    BBV_CHECK(generator != nullptr);
-    for (int repetition = 0; repetition < options_.corruptions_per_generator;
-         ++repetition) {
-      task_generators.push_back(generator);
-    }
-  }
-  std::vector<common::Rng> task_rngs = rng.ForkStreams(task_generators.size());
-  std::vector<linalg::Matrix> probability_batches(task_generators.size());
-  std::vector<std::vector<double>> statistics_rows(task_generators.size());
-  std::vector<double> scores(task_generators.size());
-  BBV_RETURN_NOT_OK(common::ParallelFor(
-      task_generators.size(), [&](size_t task) -> common::Status {
-        common::Rng& task_rng = task_rngs[task];
-        const errors::ErrorGen* generator = task_generators[task];
-        data::DataFrame corrupted;
-        if (generator != nullptr) {
-          BBV_ASSIGN_OR_RETURN(corrupted,
-                               generator->Corrupt(test.features, task_rng));
-        }
-        // Pick the meta-example rows from the example half only. They are
-        // drawn before the model runs; PredictProba draws nothing, so the
-        // task stream is consumed in the same order either way.
-        std::vector<size_t> rows = example_rows;
-        if (batch_size < example_rows.size()) {
-          const std::vector<size_t> picks =
-              task_rng.SampleWithoutReplacement(example_rows.size(),
-                                                batch_size);
-          rows.clear();
-          rows.reserve(batch_size);
-          for (size_t pick : picks) rows.push_back(example_rows[pick]);
-        }
-        // Only these rows are read, so the reference half of a corrupted
-        // copy never reaches the model.
-        const linalg::Matrix* probabilities = &clean_probabilities;
-        linalg::Matrix corrupted_probabilities;
-        if (generator != nullptr) {
-          BBV_ASSIGN_OR_RETURN(
-              corrupted_probabilities,
-              PredictCorruptedCopy(model, test.features, clean_probabilities,
-                                   std::move(corrupted), rows));
-          probabilities = &corrupted_probabilities;
-        }
-        // The batch is materialized because BuildFeatures later runs
-        // per-class KS tests against its columns; statistics and score use
-        // the row view.
-        statistics_rows[task] = PredictionStatistics(
-            *probabilities, rows, options_.percentile_points);
-        scores[task] =
-            ComputeScore(options_.metric, *probabilities, rows, test.labels);
-        probability_batches[task] = probabilities->SelectRows(rows);
-        return common::Status::OK();
-      }));
-
-  BBV_RETURN_NOT_OK(predictor_.TrainFromStatistics(statistics_rows, scores,
-                                                   test_score_, rng));
+  // and the validator's decision model. Only the example rows are read, so
+  // the reference half of a corrupted copy never reaches the model; each
+  // example's outputs are kept because BuildFeatures runs per-class KS
+  // tests against their columns.
+  BBV_ASSIGN_OR_RETURN(
+      const MetaExamples examples,
+      CollectMetaExamples(model, test, generators, example_rows,
+                          predictor_.options(), /*keep_batches=*/true, rng));
+  test_score_ = examples.test_score;
+  test_probabilities_ = examples.clean_probabilities.SelectRows(reference_rows);
+  BBV_RETURN_NOT_OK(predictor_.TrainFromStatistics(
+      examples.statistics, examples.scores, test_score_, rng));
 
   // Meta-labels: 1 = quality within the threshold, 0 = violation.
+  const std::vector<double>& scores = examples.scores;
   std::vector<int> labels(scores.size());
   const double floor = (1.0 - options_.threshold) * test_score_;
   for (size_t i = 0; i < scores.size(); ++i) {
     labels[i] = scores[i] >= floor ? 1 : 0;
   }
-
-  std::vector<std::vector<double>> feature_rows;
-  feature_rows.reserve(probability_batches.size());
-  for (const linalg::Matrix& probabilities : probability_batches) {
-    feature_rows.push_back(BuildFeatures(probabilities));
-  }
-
   const bool has_ok =
       std::any_of(labels.begin(), labels.end(), [](int l) { return l == 1; });
   const bool has_violation =
@@ -169,27 +95,26 @@ common::Status PerformanceValidator::Train(
     return common::Status::OK();
   }
 
+  std::vector<std::vector<double>> feature_rows;
+  feature_rows.reserve(examples.batches.size());
+  for (const linalg::Matrix& batch : examples.batches) {
+    BBV_ASSIGN_OR_RETURN(std::vector<double> features, BuildFeatures(batch));
+    feature_rows.push_back(std::move(features));
+  }
+  const linalg::Matrix meta_features = linalg::Matrix::FromRows(feature_rows);
   decision_model_ = ml::GradientBoostedTrees(options_.gbdt);
-  BBV_RETURN_NOT_OK(decision_model_.Fit(linalg::Matrix::FromRows(feature_rows),
-                                        labels, 2, rng));
+  BBV_RETURN_NOT_OK(decision_model_.Fit(meta_features, labels, 2, rng));
 
   // Calibrate the decision operating point with out-of-fold predictions:
   // pick the P(ok) cutoff that maximizes the F1 of the alarm class. The
   // in-sample fit is near-perfect (any cutoff looks optimal), so we collect
   // honest probabilities from k-fold refits first. This corrects the class
   // imbalance at loose thresholds, where few corrupted copies violate.
-  const linalg::Matrix meta_features = linalg::Matrix::FromRows(feature_rows);
   std::vector<double> oof_p_ok(labels.size(), 0.5);
-  const int folds = 3;
-  if (labels.size() >= 2 * folds) {
-    const std::vector<ml::Fold> splits =
-        ml::KFoldIndices(labels.size(), folds, rng);
-    // Fold refits are independent and write disjoint oof_p_ok slots, so
-    // they run concurrently, each on its own pre-forked stream.
-    std::vector<common::Rng> fold_rngs = rng.ForkStreams(splits.size());
-    BBV_RETURN_NOT_OK(common::ParallelFor(
-        splits.size(), [&](size_t f) -> common::Status {
-          const ml::Fold& fold = splits[f];
+  if (labels.size() >= 2 * kCutoffFolds) {
+    BBV_RETURN_NOT_OK(ml::ForEachFold(
+        labels.size(), kCutoffFolds, rng,
+        [&](size_t, const ml::Fold& fold, common::Rng& fold_rng) {
           std::vector<int> fold_labels;
           fold_labels.reserve(fold.train_rows.size());
           for (size_t row : fold.train_rows) fold_labels.push_back(labels[row]);
@@ -202,14 +127,14 @@ common::Status PerformanceValidator::Train(
           ml::GradientBoostedTrees fold_model(options_.gbdt);
           BBV_RETURN_NOT_OK(fold_model.Fit(
               meta_features.SelectRows(fold.train_rows), fold_labels, 2,
-              fold_rngs[f]));
+              fold_rng));
           const linalg::Matrix fold_decisions = fold_model.PredictProba(
               meta_features.SelectRows(fold.test_rows));
           for (size_t i = 0; i < fold.test_rows.size(); ++i) {
             oof_p_ok[fold.test_rows[i]] = fold_decisions.At(i, 1);
           }
           return common::Status::OK();
-        }));
+        }).status());
   }
   std::vector<int> alarm_truth(labels.size());
   for (size_t i = 0; i < labels.size(); ++i) {
@@ -234,7 +159,7 @@ common::Status PerformanceValidator::Train(
   return common::Status::OK();
 }
 
-std::vector<double> PerformanceValidator::BuildFeatures(
+common::Result<std::vector<double>> PerformanceValidator::BuildFeatures(
     const linalg::Matrix& probabilities) const {
   std::vector<double> features =
       PredictionStatistics(probabilities, options_.percentile_points);
@@ -251,12 +176,11 @@ std::vector<double> PerformanceValidator::BuildFeatures(
   // The internal performance predictor's estimate and the implied relative
   // drop against the clean test score.
   if (options_.use_predictor_feature) {
-    const auto estimate = predictor_.EstimateScoreFromProba(probabilities);
-    const double estimated_score =
-        estimate.ok() ? estimate->point : test_score_;
-    features.push_back(estimated_score);
+    BBV_ASSIGN_OR_RETURN(const ScoreEstimate estimate,
+                         predictor_.EstimateScoreFromProba(probabilities));
+    features.push_back(estimate.point);
     features.push_back(test_score_ > 0.0
-                           ? (test_score_ - estimated_score) / test_score_
+                           ? (test_score_ - estimate.point) / test_score_
                            : 0.0);
   }
   return features;
@@ -284,7 +208,8 @@ common::Result<bool> PerformanceValidator::ValidateFromProba(
                          predictor_.EstimateScoreFromProba(probabilities));
     verdict = estimate.point >= (1.0 - options_.threshold) * test_score_;
   } else {
-    const std::vector<double> features = BuildFeatures(probabilities);
+    BBV_ASSIGN_OR_RETURN(const std::vector<double> features,
+                         BuildFeatures(probabilities));
     const linalg::Matrix decision = decision_model_.PredictProba(
         linalg::Matrix(1, features.size(), features));
     verdict = decision.At(0, 1) >= decision_threshold_;
@@ -380,6 +305,14 @@ common::Result<PerformanceValidator> PerformanceValidator::Load(
       linalg::Matrix(rows, cols, std::move(values));
   BBV_ASSIGN_OR_RETURN(validator.predictor_,
                        PerformancePredictor::Load(reader));
+  // BuildFeatures feeds the validator's statistics to the internal
+  // predictor, so both must read the same grid and score.
+  if (validator.predictor_.percentile_points() != options.percentile_points ||
+      validator.predictor_.options().metric != options.metric) {
+    return common::Status::InvalidArgument(
+        "internal predictor's percentile grid or score metric differs from "
+        "the validator's");
+  }
   if (!validator.degenerate_) {
     BBV_ASSIGN_OR_RETURN(validator.decision_model_,
                          ml::GradientBoostedTrees::Load(reader));

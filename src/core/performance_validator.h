@@ -45,18 +45,15 @@ class PerformanceValidator {
     bool use_predictor_feature = true;
     /// Configuration of the gradient-boosted decision tree that makes the
     /// accept/reject decision (paper §4).
-    ml::GradientBoostedTrees::Options gbdt;
-    /// Options for the internal performance predictor whose estimate is one
-    /// of the validator's features.
-    PerformancePredictor::Options predictor;
-
-    Options() {
-      gbdt.num_rounds = 40;
-      gbdt.tree.max_depth = 3;
-      // The internal predictor shares the corrupted datasets; its own
-      // corruption loop is skipped (see Train), so keep its grid small.
-      predictor.tree_count_grid = {50};
-    }
+    ml::GradientBoostedTrees::Options gbdt = [] {
+      ml::GradientBoostedTrees::Options options;
+      options.num_rounds = 40;
+      return options;
+    }();
+    /// Tree-count grid of the internal performance predictor whose estimate
+    /// is one of the validator's features. The predictor takes the grid,
+    /// metric and collection fields above and shares their corruption pass.
+    std::vector<int> predictor_tree_count_grid = {50};
   };
 
   PerformanceValidator() : PerformanceValidator(Options{}) {}
@@ -97,7 +94,8 @@ class PerformanceValidator {
 
   /// Feature vector: percentiles + per-class KS statistic/p-value against
   /// the retained test outputs + internal predictor estimate.
-  std::vector<double> BuildFeatures(const linalg::Matrix& probabilities) const;
+  common::Result<std::vector<double>> BuildFeatures(
+      const linalg::Matrix& probabilities) const;
 
   Options options_;
   bool trained_ = false;

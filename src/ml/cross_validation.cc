@@ -27,6 +27,18 @@ std::vector<Fold> KFoldIndices(size_t n, int k, common::Rng& rng) {
   return folds;
 }
 
+common::Result<std::vector<Fold>> ForEachFold(
+    size_t n, int k, common::Rng& rng,
+    const std::function<common::Status(size_t, const Fold&, common::Rng&)>&
+        body) {
+  std::vector<Fold> folds = KFoldIndices(n, k, rng);
+  std::vector<common::Rng> fold_rngs = rng.ForkStreams(folds.size());
+  BBV_RETURN_NOT_OK(common::ParallelFor(
+      folds.size(),
+      [&](size_t f) { return body(f, folds[f], fold_rngs[f]); }));
+  return folds;
+}
+
 common::Result<double> CrossValAccuracy(
     const std::function<std::unique_ptr<Classifier>()>& factory,
     const linalg::Matrix& features, const std::vector<int>& labels,
@@ -35,16 +47,10 @@ common::Result<double> CrossValAccuracy(
     return common::Status::InvalidArgument(
         "features and labels disagree on the number of rows");
   }
-  const std::vector<Fold> splits = KFoldIndices(labels.size(), folds, rng);
-  // One pre-forked stream per fold keeps the mean accuracy identical at
-  // every thread count; folds fit concurrently.
-  std::vector<common::Rng> fold_rngs = rng.ForkStreams(splits.size());
-  std::vector<double> fold_scores(splits.size(), 0.0);
-  BBV_RETURN_NOT_OK(common::ParallelFor(
-      splits.size(), [&](size_t f) -> common::Status {
-        const Fold& fold = splits[f];
-        const linalg::Matrix train_x = features.SelectRows(fold.train_rows);
-        const linalg::Matrix test_x = features.SelectRows(fold.test_rows);
+  std::vector<double> fold_scores(static_cast<size_t>(folds), 0.0);
+  BBV_RETURN_NOT_OK(ForEachFold(
+      labels.size(), folds, rng,
+      [&](size_t f, const Fold& fold, common::Rng& fold_rng) {
         std::vector<int> train_y;
         std::vector<int> test_y;
         train_y.reserve(fold.train_rows.size());
@@ -52,14 +58,16 @@ common::Result<double> CrossValAccuracy(
         for (size_t row : fold.train_rows) train_y.push_back(labels[row]);
         for (size_t row : fold.test_rows) test_y.push_back(labels[row]);
         std::unique_ptr<Classifier> model = factory();
-        BBV_RETURN_NOT_OK(model->Fit(train_x, train_y, num_classes,
-                                     fold_rngs[f]));
-        fold_scores[f] = Accuracy(PredictLabels(*model, test_x), test_y);
+        BBV_RETURN_NOT_OK(model->Fit(features.SelectRows(fold.train_rows),
+                                     train_y, num_classes, fold_rng));
+        fold_scores[f] = Accuracy(
+            PredictLabels(*model, features.SelectRows(fold.test_rows)),
+            test_y);
         return common::Status::OK();
-      }));
+      }).status());
   double total = 0.0;
   for (double score : fold_scores) total += score;
-  return total / static_cast<double>(splits.size());
+  return total / static_cast<double>(fold_scores.size());
 }
 
 common::Result<double> CrossValRegressionMae(
@@ -70,36 +78,28 @@ common::Result<double> CrossValRegressionMae(
     return common::Status::InvalidArgument(
         "features and targets disagree on the number of rows");
   }
-  const std::vector<Fold> splits = KFoldIndices(targets.size(), folds, rng);
-  std::vector<common::Rng> fold_rngs = rng.ForkStreams(splits.size());
-  std::vector<double> fold_errors(splits.size(), 0.0);
-  std::vector<size_t> fold_counts(splits.size(), 0);
-  BBV_RETURN_NOT_OK(common::ParallelFor(
-      splits.size(), [&](size_t f) -> common::Status {
-        const Fold& fold = splits[f];
-        const linalg::Matrix train_x = features.SelectRows(fold.train_rows);
-        const linalg::Matrix test_x = features.SelectRows(fold.test_rows);
+  // Per-fold partial sums, totalled in fold order below.
+  std::vector<double> fold_errors(static_cast<size_t>(folds), 0.0);
+  BBV_RETURN_NOT_OK(ForEachFold(
+      targets.size(), folds, rng,
+      [&](size_t f, const Fold& fold, common::Rng& fold_rng) {
         std::vector<double> train_y;
         train_y.reserve(fold.train_rows.size());
         for (size_t row : fold.train_rows) train_y.push_back(targets[row]);
         RandomForestRegressor model = factory();
-        BBV_RETURN_NOT_OK(model.Fit(train_x, train_y, fold_rngs[f]));
-        const std::vector<double> predictions = model.Predict(test_x);
-        double fold_error = 0.0;
+        BBV_RETURN_NOT_OK(
+            model.Fit(features.SelectRows(fold.train_rows), train_y, fold_rng));
+        const std::vector<double> predictions =
+            model.Predict(features.SelectRows(fold.test_rows));
         for (size_t i = 0; i < fold.test_rows.size(); ++i) {
-          fold_error += std::abs(predictions[i] - targets[fold.test_rows[i]]);
+          fold_errors[f] +=
+              std::abs(predictions[i] - targets[fold.test_rows[i]]);
         }
-        fold_errors[f] = fold_error;
-        fold_counts[f] = fold.test_rows.size();
         return common::Status::OK();
-      }));
+      }).status());
   double total_error = 0.0;
-  size_t total_count = 0;
-  for (size_t f = 0; f < splits.size(); ++f) {
-    total_error += fold_errors[f];
-    total_count += fold_counts[f];
-  }
-  return total_error / static_cast<double>(total_count);
+  for (double error : fold_errors) total_error += error;
+  return total_error / static_cast<double>(targets.size());
 }
 
 common::Result<size_t> GridSearchClassifier(

@@ -23,6 +23,17 @@ struct Fold {
 /// test set. Requires 2 <= k <= n.
 std::vector<Fold> KFoldIndices(size_t n, int k, common::Rng& rng);
 
+/// The one k-fold scaffold behind every cross-validated fit: draws
+/// KFoldIndices(n, k, rng), then forks one stream per fold from `rng`, then
+/// runs `body(f, folds[f], fold_rng)` for every fold over the shared thread
+/// pool. Bodies must write disjoint per-fold slots; the pre-forked streams
+/// keep every result identical at every BBV_THREADS. Returns the folds (for
+/// the caller's serial fold-major assembly) or the lowest-index body error.
+common::Result<std::vector<Fold>> ForEachFold(
+    size_t n, int k, common::Rng& rng,
+    const std::function<common::Status(size_t, const Fold&, common::Rng&)>&
+        body);
+
 /// Mean k-fold accuracy of classifiers produced by `factory`.
 common::Result<double> CrossValAccuracy(
     const std::function<std::unique_ptr<Classifier>()>& factory,

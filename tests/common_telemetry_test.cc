@@ -158,7 +158,7 @@ PipelineOutputs RunPipeline() {
 
   core::PerformanceValidator::Options validator_options;
   validator_options.corruptions_per_generator = 10;
-  validator_options.predictor.tree_count_grid = {10};
+  validator_options.predictor_tree_count_grid = {10};
   validator_options.gbdt.num_rounds = 10;
   core::PerformanceValidator validator(validator_options);
   BBV_CHECK(validator.Train(model, test, {&outliers}, rng).ok());

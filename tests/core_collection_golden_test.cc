@@ -1,12 +1,17 @@
-// Golden bytes of Algorithm 1's meta-training collection. The black box is
-// queried only for the rows a corruption changed, and the clean outputs are
-// reused for the rest; that must not move a single trained byte. These
-// FNV-1a hashes of the saved models were recorded with the collector that
-// predicted every full corrupted copy, and must hold at BBV_THREADS 1 and 4:
+// Golden bytes of Algorithm 1's meta-training collection
+// (CollectMetaExamples) and of the k-fold fits behind both trainers
+// (ml::ForEachFold). The black box is queried only for the rows a
+// corruption changed, and the clean outputs are reused for the rest; that
+// must not move a single trained byte. These FNV-1a hashes of the saved
+// models must hold at BBV_THREADS 1 and 4:
 //  - PerformancePredictor over full corrupted copies;
 //  - PerformancePredictor with meta_batch_size (the subsample is drawn from
 //    the task stream, so the draw order is pinned too);
-//  - PerformanceValidator over the example half, and with meta_batch_size.
+//  - PerformancePredictor with a two-point tree-count grid (the CV search),
+//    with quantile-forest calibration (the final forest's tree spreads) and
+//    with ROC AUC scoring;
+//  - PerformanceValidator over the example half, with meta_batch_size and
+//    with ROC AUC scoring.
 // The generators are the four known ones plus SignFlip, whose 0.0 -> -0.0
 // cells are equal under CellValue::operator== but not bit for bit.
 
@@ -93,12 +98,17 @@ const Fixture& SharedFixture() {
   return *fixture;
 }
 
-uint64_t PredictorHash(const Fixture& fixture, size_t meta_batch_size) {
+PerformancePredictor::Options SmallPredictorOptions(size_t meta_batch_size) {
   PerformancePredictor::Options options;
   options.corruptions_per_generator = 6;
   options.clean_copies = 2;
   options.tree_count_grid = {12};
   options.meta_batch_size = meta_batch_size;
+  return options;
+}
+
+uint64_t PredictorHash(const Fixture& fixture,
+                       const PerformancePredictor::Options& options) {
   PerformancePredictor predictor(options);
   common::Rng rng(31);
   const common::Status trained = predictor.Train(
@@ -109,13 +119,15 @@ uint64_t PredictorHash(const Fixture& fixture, size_t meta_batch_size) {
   return common::Fnv1aHash(out.str());
 }
 
-uint64_t ValidatorHash(const Fixture& fixture, size_t meta_batch_size) {
+uint64_t ValidatorHash(const Fixture& fixture, size_t meta_batch_size,
+                       ScoreMetric metric = ScoreMetric::kAccuracy) {
   PerformanceValidator::Options options;
   options.corruptions_per_generator = 6;
   options.clean_copies = 2;
-  options.predictor.tree_count_grid = {12};
+  options.predictor_tree_count_grid = {12};
   options.gbdt.num_rounds = 10;
   options.meta_batch_size = meta_batch_size;
+  options.metric = metric;
   PerformanceValidator validator(options);
   common::Rng rng(37);
   const common::Status trained = validator.Train(
@@ -132,17 +144,51 @@ constexpr uint64_t kPredictorFullHash = 8491394933230790350ULL;
 constexpr uint64_t kPredictorSubsampleHash = 12683308065069518279ULL;
 constexpr uint64_t kValidatorHash = 5580347351599688590ULL;
 constexpr uint64_t kValidatorSubsampleHash = 7968921086147070380ULL;
+// Pinned from the two hand-kept collectors that preceded
+// CollectMetaExamples and from the inline fold loops that preceded
+// ml::ForEachFold: the CV grid search, the quantile-forest spreads and the
+// ROC AUC score. The ROC AUC validator was recorded with its internal
+// predictor's metric set to ROC AUC as well, which the validator now does
+// itself.
+constexpr uint64_t kPredictorGridHash = 2106156533468090824ULL;
+constexpr uint64_t kPredictorQuantileForestHash = 14173982321731862652ULL;
+constexpr uint64_t kPredictorRocAucHash = 9628490558846314556ULL;
+constexpr uint64_t kValidatorRocAucHash = 7827032351245776485ULL;
 
 class CollectionGoldenTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CollectionGoldenTest, PredictorFullCopies) {
   const ScopedThreadsEnv threads(GetParam());
-  EXPECT_EQ(PredictorHash(SharedFixture(), 0), kPredictorFullHash);
+  EXPECT_EQ(PredictorHash(SharedFixture(), SmallPredictorOptions(0)),
+            kPredictorFullHash);
 }
 
 TEST_P(CollectionGoldenTest, PredictorMetaBatch) {
   const ScopedThreadsEnv threads(GetParam());
-  EXPECT_EQ(PredictorHash(SharedFixture(), 60), kPredictorSubsampleHash);
+  EXPECT_EQ(PredictorHash(SharedFixture(), SmallPredictorOptions(60)),
+            kPredictorSubsampleHash);
+}
+
+TEST_P(CollectionGoldenTest, PredictorTreeCountGridSearch) {
+  const ScopedThreadsEnv threads(GetParam());
+  PerformancePredictor::Options options = SmallPredictorOptions(0);
+  options.tree_count_grid = {8, 12};
+  EXPECT_EQ(PredictorHash(SharedFixture(), options), kPredictorGridHash);
+}
+
+TEST_P(CollectionGoldenTest, PredictorQuantileForestCalibration) {
+  const ScopedThreadsEnv threads(GetParam());
+  PerformancePredictor::Options options = SmallPredictorOptions(0);
+  options.conformal_mode = ConformalCalibrator::Mode::kQuantileForest;
+  EXPECT_EQ(PredictorHash(SharedFixture(), options),
+            kPredictorQuantileForestHash);
+}
+
+TEST_P(CollectionGoldenTest, PredictorRocAuc) {
+  const ScopedThreadsEnv threads(GetParam());
+  PerformancePredictor::Options options = SmallPredictorOptions(0);
+  options.metric = ScoreMetric::kRocAuc;
+  EXPECT_EQ(PredictorHash(SharedFixture(), options), kPredictorRocAucHash);
 }
 
 TEST_P(CollectionGoldenTest, ValidatorExampleHalf) {
@@ -153,6 +199,12 @@ TEST_P(CollectionGoldenTest, ValidatorExampleHalf) {
 TEST_P(CollectionGoldenTest, ValidatorMetaBatch) {
   const ScopedThreadsEnv threads(GetParam());
   EXPECT_EQ(ValidatorHash(SharedFixture(), 50), kValidatorSubsampleHash);
+}
+
+TEST_P(CollectionGoldenTest, ValidatorRocAuc) {
+  const ScopedThreadsEnv threads(GetParam());
+  EXPECT_EQ(ValidatorHash(SharedFixture(), 0, ScoreMetric::kRocAuc),
+            kValidatorRocAucHash);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, CollectionGoldenTest,

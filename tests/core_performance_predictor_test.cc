@@ -8,9 +8,12 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <string>
 
 #include "common/telemetry.h"
 #include "core/performance_validator.h"
+#include "core/prediction_statistics.h"
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
 #include "errors/numeric_errors.h"
@@ -488,6 +491,178 @@ TEST_F(PredictCorruptedCopyTest, TrainCountsSentAndReusedRows) {
   EXPECT_EQ(sent, model.rows());
   EXPECT_EQ(sent + reused, n + 10 * n);
   EXPECT_GT(reused, 0u);
+}
+
+/// Corruption that drops the last row, breaking the collector's row-count
+/// contract.
+class DropsLastRow : public errors::ErrorGen {
+ public:
+  common::Result<data::DataFrame> Corrupt(const data::DataFrame& frame,
+                                          common::Rng& /*rng*/) const override {
+    data::DataFrame copy = frame;
+    std::vector<size_t> keep(frame.NumRows() - 1);
+    std::iota(keep.begin(), keep.end(), size_t{0});
+    copy.KeepRows(keep);
+    return copy;
+  }
+  std::string Name() const override { return "drops_last_row"; }
+};
+
+/// Both trainers collect through CollectMetaExamples, so both reject a bad
+/// collection input with InvalidArgument, with and without meta_batch_size
+/// (the parameter).
+class CollectionContractTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  static const Fixture& SharedFixture() {
+    static const std::unique_ptr<Fixture> fixture = [] {
+      common::Rng rng(17);
+      return std::make_unique<Fixture>(MakeFixture(rng, 800));
+    }();
+    return *fixture;
+  }
+
+  static PerformancePredictor::Options PredictorOptions() {
+    PerformancePredictor::Options options = FastOptions();
+    options.corruptions_per_generator = 3;
+    options.meta_batch_size = GetParam();
+    return options;
+  }
+  static PerformanceValidator::Options ValidatorOptions() {
+    PerformanceValidator::Options options;
+    options.corruptions_per_generator = 3;
+    options.predictor_tree_count_grid = {10};
+    options.gbdt.num_rounds = 5;
+    options.meta_batch_size = GetParam();
+    return options;
+  }
+
+  /// Trains both and expects InvalidArgument whose message holds `needle`.
+  static void ExpectBothRejected(
+      const PerformancePredictor::Options& predictor_options,
+      const PerformanceValidator::Options& validator_options,
+      const errors::ErrorGen& generator, const std::string& needle) {
+    common::Rng rng(3);
+    PerformancePredictor predictor(predictor_options);
+    const common::Status predictor_status =
+        predictor.Train(*SharedFixture().model, SharedFixture().test,
+                        {&generator}, rng);
+    EXPECT_EQ(predictor_status.code(), common::StatusCode::kInvalidArgument)
+        << predictor_status.ToString();
+    EXPECT_NE(predictor_status.message().find(needle), std::string::npos)
+        << predictor_status.ToString();
+    EXPECT_FALSE(predictor.trained());
+    PerformanceValidator validator(validator_options);
+    const common::Status validator_status =
+        validator.Train(*SharedFixture().model, SharedFixture().test,
+                        {&generator}, rng);
+    EXPECT_EQ(validator_status.code(), common::StatusCode::kInvalidArgument)
+        << validator_status.ToString();
+    EXPECT_NE(validator_status.message().find(needle), std::string::npos)
+        << validator_status.ToString();
+    EXPECT_FALSE(validator.trained());
+  }
+
+  const errors::MissingValues missing_;
+};
+
+TEST_P(CollectionContractTest, RowDroppingCorruptionIsNamed) {
+  const DropsLastRow drops;
+  ExpectBothRejected(PredictorOptions(), ValidatorOptions(), drops,
+                     "drops_last_row");
+}
+
+TEST_P(CollectionContractTest, NegativeCleanCopies) {
+  PerformancePredictor::Options predictor_options = PredictorOptions();
+  predictor_options.clean_copies = -1;
+  PerformanceValidator::Options validator_options = ValidatorOptions();
+  validator_options.clean_copies = -1;
+  ExpectBothRejected(predictor_options, validator_options, missing_,
+                     "clean_copies");
+}
+
+TEST_P(CollectionContractTest, NegativeCorruptionsPerGenerator) {
+  PerformancePredictor::Options predictor_options = PredictorOptions();
+  predictor_options.corruptions_per_generator = -2;
+  PerformanceValidator::Options validator_options = ValidatorOptions();
+  validator_options.corruptions_per_generator = -2;
+  ExpectBothRejected(predictor_options, validator_options, missing_,
+                     "corruptions_per_generator");
+}
+
+TEST_P(CollectionContractTest, EmptyTreeCountGrid) {
+  PerformancePredictor::Options predictor_options = PredictorOptions();
+  predictor_options.tree_count_grid.clear();
+  PerformanceValidator::Options validator_options = ValidatorOptions();
+  validator_options.predictor_tree_count_grid.clear();
+  ExpectBothRejected(predictor_options, validator_options, missing_,
+                     "tree_count_grid");
+}
+
+INSTANTIATE_TEST_SUITE_P(MetaBatchSize, CollectionContractTest,
+                         ::testing::Values(size_t{0}, size_t{40}));
+
+class CollectMetaExamplesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    common::Rng rng(23);
+    fixture_ = MakeFixture(rng, 800);
+  }
+
+  PerformancePredictor::Options Options() const {
+    PerformancePredictor::Options options = FastOptions();
+    options.clean_copies = 2;
+    options.corruptions_per_generator = 3;
+    return options;
+  }
+
+  Fixture fixture_;
+  const errors::MissingValues missing_;
+  const errors::NumericOutliers outliers_;
+};
+
+TEST_F(CollectMetaExamplesTest, AllRowsMatchTheFullMatrixOverloads) {
+  common::Rng rng(1);
+  const auto examples = CollectMetaExamples(
+      *fixture_.model, fixture_.test, {&missing_, &outliers_}, {}, Options(),
+      /*keep_batches=*/false, rng);
+  ASSERT_TRUE(examples.ok()) << examples.status().ToString();
+  ASSERT_EQ(examples->scores.size(), 2u + 2u * 3u);
+  ASSERT_EQ(examples->statistics.size(), examples->scores.size());
+  EXPECT_TRUE(examples->batches.empty());
+  // A clean example reads every row in order, and an empty grid means the
+  // default one: the row views must give the full-matrix bytes.
+  EXPECT_EQ(examples->statistics[0],
+            PredictionStatistics(examples->clean_probabilities));
+  EXPECT_EQ(std::bit_cast<uint64_t>(examples->scores[0]),
+            std::bit_cast<uint64_t>(examples->test_score));
+}
+
+TEST_F(CollectMetaExamplesTest, KeptBatchesAreTheReadRowsOfThePool) {
+  common::Rng rng(2);
+  std::vector<size_t> pool(60);
+  std::iota(pool.begin(), pool.end(), size_t{100});
+  PerformancePredictor::Options options = Options();
+  options.percentile_points = {5.0, 50.0, 95.0};
+  options.meta_batch_size = 25;
+  const auto examples =
+      CollectMetaExamples(*fixture_.model, fixture_.test, {&outliers_}, pool,
+                          options, /*keep_batches=*/true, rng);
+  ASSERT_TRUE(examples.ok()) << examples.status().ToString();
+  ASSERT_EQ(examples->batches.size(), examples->scores.size());
+  for (size_t i = 0; i < examples->batches.size(); ++i) {
+    const linalg::Matrix& batch = examples->batches[i];
+    ASSERT_EQ(batch.rows(), 25u);
+    EXPECT_EQ(examples->statistics[i],
+              PredictionStatistics(batch, options.percentile_points));
+  }
+}
+
+TEST_F(CollectMetaExamplesTest, PoolRowOutsideTheTestSetIsInvalidArgument) {
+  common::Rng rng(3);
+  const auto examples = CollectMetaExamples(
+      *fixture_.model, fixture_.test, {&missing_},
+      {0, fixture_.test.NumRows()}, Options(), /*keep_batches=*/false, rng);
+  EXPECT_EQ(examples.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

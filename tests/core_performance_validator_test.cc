@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
@@ -123,6 +126,80 @@ TEST(PerformanceValidatorTest, TrainValidation) {
   std::vector<const errors::ErrorGen*> generators = {&missing};
   EXPECT_FALSE(
       validator.Train(*fixture.model, data::Dataset(), generators, rng).ok());
+}
+
+TEST(PerformanceValidatorTest, CustomGridAndRocAucRoundTripByteIdentical) {
+  common::Rng rng(21);
+  Fixture fixture = MakeFixture(rng);
+  PerformanceValidator::Options options = FastOptions();
+  options.corruptions_per_generator = 20;
+  options.percentile_points = {10.0, 50.0, 90.0};
+  options.metric = ScoreMetric::kRocAuc;
+  PerformanceValidator validator(options);
+  const errors::NumericOutliers outliers;
+  ASSERT_TRUE(
+      validator.Train(*fixture.model, fixture.test, {&outliers}, rng).ok());
+  const auto verdict =
+      validator.Validate(*fixture.model, fixture.serving.features);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+
+  std::stringstream saved;
+  ASSERT_TRUE(validator.Save(saved).ok());
+  const std::string bytes = saved.str();
+  const auto restored = PerformanceValidator::Load(saved);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::ostringstream resaved;
+  ASSERT_TRUE(restored->Save(resaved).ok());
+  EXPECT_EQ(resaved.str(), bytes);
+  const auto restored_verdict =
+      restored->Validate(*fixture.model, fixture.serving.features);
+  ASSERT_TRUE(restored_verdict.ok());
+  EXPECT_EQ(*restored_verdict, *verdict);
+}
+
+TEST(PerformanceValidatorTest, LoadRejectsInternalPredictorMismatch) {
+  common::Rng rng(22);
+  Fixture fixture = MakeFixture(rng);
+  PerformanceValidator::Options options = FastOptions();
+  options.corruptions_per_generator = 10;
+  PerformanceValidator validator(options);
+  const errors::NumericOutliers outliers;
+  ASSERT_TRUE(
+      validator.Train(*fixture.model, fixture.test, {&outliers}, rng).ok());
+  std::ostringstream saved;
+  ASSERT_TRUE(validator.Save(saved).ok());
+  const std::string bytes = saved.str();
+  // Header: "BBVPV" + uint32 version, double threshold, int32 metric, then
+  // the percentile grid as a uint64 count and its doubles.
+  constexpr size_t kMetricOffset = 5 + 4 + 8;
+  constexpr size_t kFirstPointOffset = kMetricOffset + 4 + 8;
+  {
+    std::stringstream intact(bytes);
+    EXPECT_TRUE(PerformanceValidator::Load(intact).ok());
+  }
+  std::string other_metric = bytes;
+  const int32_t roc_auc = static_cast<int32_t>(ScoreMetric::kRocAuc);
+  std::memcpy(other_metric.data() + kMetricOffset, &roc_auc, sizeof(roc_auc));
+  std::stringstream metric_in(other_metric);
+  const auto metric_loaded = PerformanceValidator::Load(metric_in);
+  ASSERT_FALSE(metric_loaded.ok());
+  EXPECT_EQ(metric_loaded.status().code(),
+            common::StatusCode::kInvalidArgument);
+
+  // The default grid starts at 0; 0.5 keeps it a valid ascending grid that
+  // no longer matches the internal predictor's.
+  std::string other_grid = bytes;
+  double first_point = 1.0;
+  std::memcpy(&first_point, other_grid.data() + kFirstPointOffset,
+              sizeof(first_point));
+  ASSERT_EQ(first_point, 0.0);
+  first_point = 0.5;
+  std::memcpy(other_grid.data() + kFirstPointOffset, &first_point,
+              sizeof(first_point));
+  std::stringstream grid_in(other_grid);
+  const auto grid_loaded = PerformanceValidator::Load(grid_in);
+  ASSERT_FALSE(grid_loaded.ok());
+  EXPECT_EQ(grid_loaded.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST(PerformanceValidatorTest, ThresholdIsExposed) {

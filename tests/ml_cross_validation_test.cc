@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "ml/metrics.h"
 #include "ml/sgd_logistic_regression.h"
@@ -55,6 +57,45 @@ TEST(KFoldTest, BalancedFoldSizes) {
   for (const Fold& fold : folds) sizes.push_back(fold.test_rows.size());
   std::sort(sizes.begin(), sizes.end());
   EXPECT_EQ(sizes, (std::vector<size_t>{3, 3, 4}));
+}
+
+TEST(ForEachFoldTest, HandsEachFoldTheInlineSequencesStream) {
+  // The scaffold must draw exactly what the inline KFoldIndices +
+  // ForkStreams sequence draws, in that order.
+  common::Rng inline_rng(8);
+  const std::vector<Fold> expected = KFoldIndices(37, 4, inline_rng);
+  std::vector<common::Rng> expected_rngs = inline_rng.ForkStreams(4);
+
+  common::Rng rng(8);
+  std::vector<uint64_t> draws(4, 0);
+  std::vector<std::vector<size_t>> test_rows(4);
+  const auto folds = ForEachFold(
+      37, 4, rng, [&](size_t f, const Fold& fold, common::Rng& fold_rng) {
+        test_rows[f] = fold.test_rows;
+        draws[f] = fold_rng.NextUint64();
+        return common::Status::OK();
+      });
+  ASSERT_TRUE(folds.ok());
+  ASSERT_EQ(folds->size(), expected.size());
+  for (size_t f = 0; f < expected.size(); ++f) {
+    EXPECT_EQ((*folds)[f].test_rows, expected[f].test_rows);
+    EXPECT_EQ((*folds)[f].train_rows, expected[f].train_rows);
+    EXPECT_EQ(test_rows[f], expected[f].test_rows);
+    EXPECT_EQ(draws[f], expected_rngs[f].NextUint64()) << "fold " << f;
+  }
+  // The caller's stream ends where the inline sequence leaves it.
+  EXPECT_EQ(rng.NextUint64(), inline_rng.NextUint64());
+}
+
+TEST(ForEachFoldTest, ReturnsTheLowestFoldError) {
+  common::Rng rng(9);
+  const auto folds =
+      ForEachFold(12, 3, rng, [](size_t f, const Fold&, common::Rng&) {
+        return f == 0 ? common::Status::OK()
+                      : common::Status::Internal("fold " + std::to_string(f));
+      });
+  ASSERT_FALSE(folds.ok());
+  EXPECT_EQ(folds.status().message(), "fold 1");
 }
 
 TEST(CrossValAccuracyTest, HighForSeparableData) {
