@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -21,7 +22,6 @@
 #include "errors/numeric_errors.h"
 #include "featurize/pipeline.h"
 #include "ml/decision_tree.h"
-#include "ml/forest_kernel.h"
 #include "ml/random_forest.h"
 #include "stats/hypothesis.h"
 #include "stats/quantile_sketch.h"
@@ -146,36 +146,55 @@ void BM_SplitSearchBinned(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitSearchBinned)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-void BM_KernelTileWidth8(benchmark::State& state) {
-  // Quantized width-8 tile traversal over a fitted 100-tree forest; the
-  // compare point is the forest_inference bench's exact-kernel timings.
+void BM_ForestKernelRows(benchmark::State& state) {
+  // The exact kernel on a predictor-shaped forest (100 trees fit on
+  // 405 x 58 meta-examples, the shape train_income and validate_batch
+  // score through) at the row counts of a validate call (1 row), narrow
+  // lane groups (2, 3, 4), one full lane group (8) and one tile (64). The
+  // iterations cycle through 4096 distinct rows, too many for the branch
+  // predictor to learn the node walk's outcomes. Groups narrower than the
+  // kernel's lockstep cut (3 rows) walk node by node, so this is where
+  // that cut is measured.
   common::Rng rng(10);
-  const size_t dim = 16;
-  linalg::Matrix features(2000, dim);
+  const size_t dim = 58;
+  linalg::Matrix features(405, dim);
   std::vector<double> targets(features.rows());
   for (size_t i = 0; i < features.rows(); ++i) {
     for (size_t j = 0; j < dim; ++j) features.At(i, j) = rng.Uniform();
-    targets[i] = rng.Uniform();
+    targets[i] = features.At(i, 0) - 0.5 * features.At(i, 1) +
+                 rng.Gaussian(0.0, 0.1);
   }
   ml::RandomForestRegressor::Options options;
   options.num_trees = 100;
   ml::RandomForestRegressor forest(options);
   BBV_CHECK(forest.Fit(features, targets, rng).ok());
-  const ml::ForestKernel quantized = ml::ForestKernel::Compile(
-      forest.trees(), ml::ForestKernel::Options{.quantized = true});
   const size_t serving_rows = static_cast<size_t>(state.range(0));
-  linalg::Matrix serving(serving_rows, dim);
-  for (size_t i = 0; i < serving_rows; ++i) {
-    for (size_t j = 0; j < dim; ++j) serving.At(i, j) = rng.Uniform();
+  std::vector<linalg::Matrix> batches;
+  for (size_t b = 0; b < 4096 / serving_rows; ++b) {
+    linalg::Matrix batch(serving_rows, dim);
+    for (size_t i = 0; i < serving_rows; ++i) {
+      for (size_t j = 0; j < dim; ++j) batch.At(i, j) = rng.Uniform();
+    }
+    batches.push_back(std::move(batch));
   }
   std::vector<double> predictions(serving_rows);
+  size_t next = 0;
   for (auto _ : state) {
-    quantized.PredictMeanInto(serving, predictions);
+    forest.PredictInto(batches[next], predictions);
     benchmark::DoNotOptimize(predictions.data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % batches.size();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_KernelTileWidth8)->Arg(10000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ForestKernelRows)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MissingValuesCorruption(benchmark::State& state) {
   common::Rng rng(4);

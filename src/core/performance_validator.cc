@@ -1,6 +1,7 @@
 #include "core/performance_validator.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/telemetry.h"
 #include "core/prediction_statistics.h"
@@ -42,6 +43,10 @@ common::Status PerformanceValidator::Train(
     common::Rng& rng) {
   const common::telemetry::TraceSpan span("validator.train");
   common::telemetry::IncrementCounter("validator.train.calls");
+  // A retrained validator starts from nothing: no field of an earlier
+  // Train (the degenerate fallback, the decision model, the retained
+  // outputs) may leak into this one.
+  *this = PerformanceValidator(options_);
   // Split the test rows into a KS-reference half and a meta-example half.
   // At validation time the serving batch is disjoint from the retained
   // reference outputs, so the meta-examples must be disjoint from them too
@@ -200,6 +205,15 @@ common::Result<bool> PerformanceValidator::ValidateFromProba(
     return common::Status::FailedPrecondition("Validate before Train");
   }
   BBV_RETURN_NOT_OK(CheckFiniteProbabilities(probabilities));
+  // Both decisions read the batch per class against the training classes
+  // (the KS features column by column), so a different class count is
+  // refused before any feature is built.
+  if (probabilities.cols() != test_probabilities_.cols()) {
+    return common::Status::InvalidArgument(
+        "batch has " + std::to_string(probabilities.cols()) +
+        " probability columns, the validator was trained on " +
+        std::to_string(test_probabilities_.cols()));
+  }
   common::telemetry::IncrementCounter("validator.validate.calls");
   bool verdict = false;
   if (degenerate_) {

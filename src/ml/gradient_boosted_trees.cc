@@ -87,7 +87,7 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
       trees_.push_back(std::move(tree));
     }
   }
-  kernel_ = ForestKernel::Compile(trees_, options_.kernel);
+  kernel_ = ForestKernel::Compile(trees_);
   fitted_ = true;
   return common::Status::OK();
 }

@@ -29,10 +29,6 @@ class GradientBoostedTrees : public Classifier {
     /// Fraction of rows sampled (without replacement) per round.
     double subsample = 0.8;
     TreeOptions tree;
-    /// Inference-kernel configuration compiled at Fit time (quantized
-    /// width-8 fast path; see ForestKernel). Load always
-    /// restores the default bit-exact kernel.
-    ForestKernel::Options kernel;
 
     Options() {
       tree.max_depth = 3;

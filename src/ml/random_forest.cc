@@ -72,7 +72,7 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
                                        binning_ptr, order_ptr));
             return tree;
           }));
-  kernel_ = ForestKernel::Compile(trees_, options_.kernel);
+  kernel_ = ForestKernel::Compile(trees_);
   return common::Status::OK();
 }
 

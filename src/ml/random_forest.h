@@ -29,11 +29,6 @@ class RandomForestRegressor {
     TreeOptions tree;
     /// Bootstrap sample size as a fraction of the training set.
     double bootstrap_fraction = 1.0;
-    /// Inference-kernel configuration compiled at Fit time (quantized
-    /// width-8 fast path etc.; see ForestKernel). Load always restores the
-    /// default bit-exact kernel — the fast path is a runtime choice, not
-    /// part of the serialized model.
-    ForestKernel::Options kernel;
 
     Options() {
       tree.max_depth = 10;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "datasets/tabular.h"
 #include "errors/missing_values.h"
@@ -114,6 +115,84 @@ TEST(PerformanceValidatorTest, ValidateRejectsNonFiniteProbabilities) {
   EXPECT_EQ(validator.ValidateFromProba(poisoned).status().code(),
             common::StatusCode::kInvalidArgument);
   EXPECT_TRUE(validator.ValidateFromProba(proba).ok());
+}
+
+TEST(PerformanceValidatorTest, ValidateRejectsAClassCountMismatch) {
+  // Both decisions (the fitted decision model and the degenerate predictor
+  // fallback), and a Save -> Load copy of each, refuse a batch whose class
+  // count differs from training instead of reading past the retained
+  // outputs.
+  common::Rng rng(8);
+  Fixture fixture = MakeFixture(rng);
+  const errors::NumericOutliers outliers;
+  const errors::MissingValues noop({}, errors::FractionRange{0.0, 0.0});
+  const std::vector<const errors::ErrorGen*> generators = {&outliers, &noop};
+  for (const errors::ErrorGen* generator : generators) {
+    PerformanceValidator::Options options = FastOptions();
+    options.corruptions_per_generator = 20;
+    options.use_predictor_feature = false;
+    PerformanceValidator validator(options);
+    ASSERT_TRUE(
+        validator.Train(*fixture.model, fixture.test, {generator}, rng).ok());
+    std::stringstream saved;
+    ASSERT_TRUE(validator.Save(saved).ok());
+    const auto restored = PerformanceValidator::Load(saved);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const linalg::Matrix proba =
+        fixture.model->PredictProba(fixture.serving.features).ValueOrDie();
+    ASSERT_EQ(proba.cols(), 2u);
+    const std::vector<const PerformanceValidator*> candidates = {
+        &validator, &*restored};
+    for (const PerformanceValidator* candidate : candidates) {
+      for (const size_t cols : {size_t{3}, size_t{1}}) {
+        const linalg::Matrix batch(
+            50, cols,
+            std::vector<double>(50 * cols, 1.0 / static_cast<double>(cols)));
+        EXPECT_EQ(candidate->ValidateFromProba(batch).status().code(),
+                  common::StatusCode::kInvalidArgument)
+            << generator->Name() << ", " << cols << " columns";
+      }
+      EXPECT_TRUE(candidate->ValidateFromProba(proba).ok())
+          << generator->Name();
+    }
+  }
+}
+
+TEST(PerformanceValidatorTest, RetrainingLeavesNothingOfTheEarlierTrain) {
+  // A degenerate Train (every copy on the ok side) followed by one on
+  // severe scaling must save the bytes of a fresh validator trained on the
+  // same scaling from the same seed.
+  common::Rng rng(9);
+  Fixture fixture = MakeFixture(rng);
+  PerformanceValidator::Options options = FastOptions();
+  options.corruptions_per_generator = 20;
+  const errors::MissingValues noop({}, errors::FractionRange{0.0, 0.0});
+  const errors::Scaling severe({}, errors::FractionRange{0.5, 1.0});
+  auto saved_bytes = [](const PerformanceValidator& validator) {
+    std::ostringstream out;
+    BBV_CHECK(validator.Save(out).ok());
+    return out.str();
+  };
+
+  PerformanceValidator retrained(options);
+  common::Rng noop_rng(10);
+  ASSERT_TRUE(
+      retrained.Train(*fixture.model, fixture.test, {&noop}, noop_rng).ok());
+  const std::string degenerate_bytes = saved_bytes(retrained);
+  common::Rng retrain_rng(11);
+  ASSERT_TRUE(
+      retrained.Train(*fixture.model, fixture.test, {&severe}, retrain_rng)
+          .ok());
+
+  PerformanceValidator fresh(options);
+  common::Rng fresh_rng(11);
+  ASSERT_TRUE(
+      fresh.Train(*fixture.model, fixture.test, {&severe}, fresh_rng).ok());
+  const std::string fresh_bytes = saved_bytes(fresh);
+  // Scaling puts copies on both sides of the threshold, so the fresh
+  // validator saves a decision model the degenerate one has not got.
+  ASSERT_GT(fresh_bytes.size(), degenerate_bytes.size());
+  EXPECT_EQ(saved_bytes(retrained), fresh_bytes);
 }
 
 TEST(PerformanceValidatorTest, TrainValidation) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -83,9 +87,9 @@ std::vector<double> LegacyForestPredict(const RandomForestRegressor& forest,
 }
 
 /// Legacy reference for the boosted classifier: per-row strided score
-/// accumulation followed by the shared softmax.
-linalg::Matrix LegacyGbtPredictProba(const GradientBoostedTrees& model,
-                                     const linalg::Matrix& features) {
+/// accumulation (before the shared softmax), row-major rows x classes.
+linalg::Matrix LegacyGbtScores(const GradientBoostedTrees& model,
+                               const linalg::Matrix& features) {
   const auto m = static_cast<size_t>(model.num_classes());
   linalg::Matrix scores(features.rows(), m);
   for (size_t i = 0; i < features.rows(); ++i) {
@@ -98,7 +102,109 @@ linalg::Matrix LegacyGbtPredictProba(const GradientBoostedTrees& model,
       out[t % m] += model.learning_rate() * model.trees()[t].PredictRow(row);
     }
   }
-  return linalg::Softmax(scores);
+  return scores;
+}
+
+/// The kernel's strided accumulation from the base scores, in the layout
+/// of LegacyGbtScores.
+std::vector<double> KernelGbtScores(const GradientBoostedTrees& model,
+                                    const linalg::Matrix& features) {
+  const auto m = static_cast<size_t>(model.num_classes());
+  std::vector<double> scores(features.rows() * m);
+  for (size_t i = 0; i < features.rows(); ++i) {
+    for (size_t k = 0; k < m; ++k) scores[i * m + k] = model.base_scores()[k];
+  }
+  model.kernel().AccumulateInto(features, model.learning_rate(), m, scores);
+  return scores;
+}
+
+/// Bitwise equality (stricter than ==, which conflates -0.0 and 0.0).
+bool BytesEqual(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Ensembles above the kernel's 32 KB compact cut take the lockstep walk.
+constexpr size_t kCompactBytes = 32 * 1024;
+
+/// A random forest deep and wide enough to take the lockstep walk.
+RandomForestRegressor FitLargeForest(uint64_t seed) {
+  common::Rng rng(seed);
+  const linalg::Matrix train = MakeFeatures(400, 6, rng);
+  const std::vector<double> targets = MakeTargets(train, rng);
+  RandomForestRegressor::Options options;
+  options.num_trees = 40;
+  RandomForestRegressor forest(options);
+  BBV_CHECK(forest.Fit(train, targets, rng).ok());
+  BBV_CHECK(forest.kernel().footprint_bytes() > kCompactBytes);
+  return forest;
+}
+
+/// A 3-class boosted ensemble (20 rounds x 3 trees of depth up to 8) large
+/// enough to take the lockstep walk with stride 3.
+GradientBoostedTrees FitLargeBoostedEnsemble(uint64_t seed) {
+  common::Rng rng(seed);
+  const linalg::Matrix train = MakeFeatures(600, 6, rng);
+  std::vector<int> labels(train.rows());
+  for (size_t i = 0; i < train.rows(); ++i) {
+    const double margin = train.At(i, 0) + train.At(i, 1) +
+                          rng.Gaussian(0.0, 0.3);
+    labels[i] = margin > 1.2 ? 2 : (margin > 0.8 ? 1 : 0);
+  }
+  GradientBoostedTrees::Options options;
+  options.num_rounds = 20;
+  options.tree.max_depth = 8;
+  options.tree.min_samples_leaf = 2;
+  GradientBoostedTrees model(options);
+  BBV_CHECK(model.Fit(train, labels, 3, rng).ok());
+  BBV_CHECK(model.kernel().footprint_bytes() > kCompactBytes);
+  return model;
+}
+
+/// One draw from the input shapes the serving layer sees: smooth,
+/// tail-concentrated, heavily tied, constant, and smooth with a fifth of
+/// the entries NaN (the walk sends NaN right at every split).
+double DrawShape(size_t shape, common::Rng& rng) {
+  switch (shape) {
+    case 0:
+      return rng.Uniform();
+    case 1: {
+      const double u = rng.Uniform();
+      return u < 0.5 ? u * u : 1.0 - (1.0 - u) * (1.0 - u);
+    }
+    case 2:
+      return static_cast<double>(rng.UniformInt(0, 4)) / 4.0;
+    case 3:
+      return 0.75;
+    default:
+      return rng.Uniform() < 0.2 ? std::numeric_limits<double>::quiet_NaN()
+                                 : rng.Uniform();
+  }
+}
+
+constexpr size_t kNumShapes = 5;
+
+linalg::Matrix MakeShapeMatrix(size_t rows, size_t cols, size_t shape,
+                               common::Rng& rng) {
+  linalg::Matrix features(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      features.At(i, j) = DrawShape(shape, rng);
+    }
+  }
+  return features;
+}
+
+/// Row counts covering every lane-group width (1-8 rows alone, 9-17 with
+/// a full group before them), both sides of the 64-row tile and a
+/// one-row tile tail.
+std::vector<size_t> LaneAndTileRowCounts() {
+  std::vector<size_t> counts;
+  for (size_t rows = 1; rows <= 17; ++rows) counts.push_back(rows);
+  for (const size_t rows : {size_t{63}, size_t{64}, size_t{65}, size_t{257}}) {
+    counts.push_back(rows);
+  }
+  return counts;
 }
 
 TEST(ForestKernelTest, CompileFlattensEveryNode) {
@@ -172,7 +278,7 @@ TEST(ForestKernelTest, BoostedProbabilitiesBitIdenticalToLegacyNodeWalk) {
   ASSERT_TRUE(model.Fit(train, labels, 3, rng).ok());
   const linalg::Matrix kernel_probabilities = model.PredictProba(serving);
   const linalg::Matrix legacy_probabilities =
-      LegacyGbtPredictProba(model, serving);
+      linalg::Softmax(LegacyGbtScores(model, serving));
   ASSERT_EQ(kernel_probabilities.rows(), legacy_probabilities.rows());
   ASSERT_EQ(kernel_probabilities.cols(), legacy_probabilities.cols());
   for (size_t i = 0; i < kernel_probabilities.rows(); ++i) {
@@ -201,6 +307,69 @@ TEST(ForestKernelTest, PredictionsAndSavedBytesThreadCountInvariant) {
   const auto [parallel_predictions, parallel_bytes] = run("8");
   EXPECT_EQ(single_predictions, parallel_predictions);
   EXPECT_EQ(single_bytes, parallel_bytes);
+}
+
+TEST(ForestKernelTest, LockstepWalkMatchesLegacyAtEveryLaneGroupWidth) {
+  // Every lane-group width, the narrow tails that walk node by node, and
+  // tile boundaries, for both entry points: the forest's mean and the
+  // boosted ensemble's stride-3 accumulation, bit for bit.
+  const RandomForestRegressor forest = FitLargeForest(51);
+  const GradientBoostedTrees boosted = FitLargeBoostedEnsemble(53);
+  common::Rng rng(55);
+  for (const size_t rows : LaneAndTileRowCounts()) {
+    const linalg::Matrix serving = MakeFeatures(rows, 6, rng);
+    EXPECT_TRUE(BytesEqual(forest.Predict(serving),
+                           LegacyForestPredict(forest, serving)))
+        << "forest, rows=" << rows;
+    EXPECT_TRUE(BytesEqual(KernelGbtScores(boosted, serving),
+                           LegacyGbtScores(boosted, serving).data()))
+        << "boosted, rows=" << rows;
+  }
+}
+
+TEST(ForestKernelTest, LockstepWalkMatchesLegacyOnServingShapedInputs) {
+  // Edge-concentrated, heavily tied, constant and NaN-laced inputs, scored
+  // by ensembles fit on smooth data and by forests fit on each shape
+  // itself (on constant data that forest is all leaves and compact).
+  const RandomForestRegressor forest = FitLargeForest(57);
+  const GradientBoostedTrees boosted = FitLargeBoostedEnsemble(59);
+  common::Rng rng(61);
+  for (size_t shape = 0; shape < kNumShapes; ++shape) {
+    const linalg::Matrix serving = MakeShapeMatrix(333, 6, shape, rng);
+    EXPECT_TRUE(BytesEqual(forest.Predict(serving),
+                           LegacyForestPredict(forest, serving)))
+        << "shape=" << shape;
+    EXPECT_TRUE(BytesEqual(KernelGbtScores(boosted, serving),
+                           LegacyGbtScores(boosted, serving).data()))
+        << "shape=" << shape;
+    if (shape == kNumShapes - 1) continue;  // no NaN in training data
+    const linalg::Matrix train = MakeShapeMatrix(500, 6, shape, rng);
+    const std::vector<double> targets = MakeTargets(train, rng);
+    RandomForestRegressor::Options options;
+    options.num_trees = 30;
+    RandomForestRegressor own(options);
+    ASSERT_TRUE(own.Fit(train, targets, rng).ok());
+    EXPECT_TRUE(
+        BytesEqual(own.Predict(serving), LegacyForestPredict(own, serving)))
+        << "own forest, shape=" << shape;
+  }
+}
+
+TEST(ForestKernelTest, LockstepWalkIsThreadCountIndependent) {
+  const RandomForestRegressor forest = FitLargeForest(63);
+  const GradientBoostedTrees boosted = FitLargeBoostedEnsemble(65);
+  common::Rng rng(67);
+  // Enough rows for several 64-row tiles per thread.
+  const linalg::Matrix serving = MakeFeatures(1000, 6, rng);
+  auto run = [&](const char* threads) {
+    ScopedThreadsEnv env(threads);
+    return std::make_pair(forest.Predict(serving),
+                          KernelGbtScores(boosted, serving));
+  };
+  const auto [serial_forest, serial_boosted] = run("1");
+  const auto [parallel_forest, parallel_boosted] = run("8");
+  EXPECT_TRUE(BytesEqual(serial_forest, parallel_forest));
+  EXPECT_TRUE(BytesEqual(serial_boosted, parallel_boosted));
 }
 
 TEST(ForestKernelTest, KernelRecompiledAfterLoad) {
