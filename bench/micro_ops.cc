@@ -1,9 +1,9 @@
 // Google-benchmark micro-benchmarks for the hot operations inside the
 // validation layer (not a paper figure): output-percentile featurization,
 // hypothesis tests, forest inference, corruption generators, the feature
-// pipeline and the serving sketch's quantile, save and load. These bound
-// the serving-time overhead of deploying a performance predictor next to a
-// model.
+// pipeline, the serving sketch's quantiles and the sketch bank's save and
+// load. These bound the serving-time overhead of deploying a performance
+// predictor next to a model.
 
 #include <benchmark/benchmark.h>
 
@@ -59,9 +59,19 @@ stats::QuantileSketch SketchOfRows(int64_t rows) {
   return sketch;
 }
 
-std::string SketchBytes(const stats::QuantileSketch& sketch) {
+/// A default-grid two-column bank over `rows` binary probability rows, the
+/// state a serving tenant of a binary classifier saves on eviction.
+stats::QuantileSketchBank BankOfRows(int64_t rows) {
+  common::Rng rng(2);
+  stats::QuantileSketchBank bank;
+  BBV_CHECK(
+      bank.Observe(MakeProbabilities(static_cast<size_t>(rows), rng)).ok());
+  return bank;
+}
+
+std::string BankBytes(const stats::QuantileSketchBank& bank) {
   std::ostringstream out;
-  BBV_CHECK(sketch.Save(out).ok());
+  BBV_CHECK(bank.Save(out).ok());
   return out.str();
 }
 
@@ -76,24 +86,26 @@ void BM_SketchQuantiles(benchmark::State& state) {
 }
 BENCHMARK(BM_SketchQuantiles)->Arg(100)->Arg(1000)->Arg(100000);
 
-void BM_SketchSave(benchmark::State& state) {
-  const stats::QuantileSketch sketch = SketchOfRows(state.range(0));
+void BM_BankSave(benchmark::State& state) {
+  const stats::QuantileSketchBank bank = BankOfRows(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SketchBytes(sketch));
+    benchmark::DoNotOptimize(BankBytes(bank));
   }
+  state.counters["bytes"] = static_cast<double>(BankBytes(bank).size());
 }
-BENCHMARK(BM_SketchSave)->Arg(100)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_BankSave)->Arg(100)->Arg(1000)->Arg(100000);
 
-void BM_SketchLoad(benchmark::State& state) {
-  const std::string bytes = SketchBytes(SketchOfRows(state.range(0)));
+void BM_BankLoad(benchmark::State& state) {
+  const std::string bytes = BankBytes(BankOfRows(state.range(0)));
   for (auto _ : state) {
     std::istringstream in(bytes);
-    auto loaded = stats::QuantileSketch::Load(in);
+    auto loaded = stats::QuantileSketchBank::Load(in);
     BBV_CHECK(loaded.ok());
-    benchmark::DoNotOptimize(loaded->count());
+    benchmark::DoNotOptimize(loaded->rows_observed());
   }
+  state.counters["bytes"] = static_cast<double>(bytes.size());
 }
-BENCHMARK(BM_SketchLoad)->Arg(100)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_BankLoad)->Arg(100)->Arg(1000)->Arg(100000);
 
 void BM_TwoSampleKsTest(benchmark::State& state) {
   common::Rng rng(2);

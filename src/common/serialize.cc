@@ -73,7 +73,11 @@ void BinaryWriter::PatchUint64(size_t offset, uint64_t value) {
 }
 
 Status BinaryWriter::WriteTo(std::ostream& out) const {
-  out.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  return WriteArchive(out, buffer_);
+}
+
+Status WriteArchive(std::ostream& out, std::span<const char> bytes) {
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) return Status::IoError("serialization stream failed");
   return Status::OK();
 }
@@ -173,8 +177,9 @@ Result<uint64_t> BinaryReader::ReadVarUint64() {
   uint64_t value = 0;
   for (size_t i = 0; i < remaining() && i < 10; ++i) {
     const auto byte = static_cast<uint8_t>(bytes_[position_ + i]);
-    // The tenth byte holds only the top bit of a 64-bit value.
-    if (i == 9 && byte > 1) break;
+    // The tenth byte holds only the top bit of a 64-bit value, and a zero
+    // last byte after the first is a padded (non-minimal) encoding.
+    if ((i == 9 && byte > 1) || (i > 0 && byte == 0)) break;
     value |= static_cast<uint64_t>(byte & 0x7F) << (7 * i);
     if ((byte & 0x80) == 0) {
       position_ += i + 1;

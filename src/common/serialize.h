@@ -88,6 +88,7 @@ class BinaryReader {
   /// Fills `values` with the next values.size() values (the WriteUint64s
   /// counterpart).
   [[nodiscard]] Status ReadUint64s(std::span<uint64_t> values);
+  /// Accepts only the minimal encoding WriteVarUint64 writes.
   [[nodiscard]] Result<uint64_t> ReadVarUint64();
   /// A view of the next `size` bytes (the Extend counterpart), valid as
   /// long as the bytes the reader parses.
@@ -109,6 +110,11 @@ class BinaryReader {
   std::span<const char> bytes_;
   size_t position_ = 0;
 };
+
+/// Writes bytes a BinaryWriter produced earlier (e.g. a kept copy of its
+/// bytes()) to `out` in one call; IoError when the stream fails.
+[[nodiscard]] Status WriteArchive(std::ostream& out,
+                                  std::span<const char> bytes);
 
 /// The unread rest of an input stream as one bounded buffer: the stream Load
 /// overloads parse it through a BinaryReader (see LoadFromStream).

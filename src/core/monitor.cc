@@ -115,9 +115,10 @@ common::Result<ModelMonitor::BatchReport> ModelMonitor::Observe(
   // batch whose windowed estimate fails is undone, so it never pollutes the
   // window.
   BBV_ASSIGN_OR_RETURN(
-      stats::CellBatch evicted,
-      window_.Push(
-          stats::CellBatch::Of(probabilities, window_.bank().options())));
+      stats::CellBatch cells,
+      stats::CellBatch::Of(probabilities, window_.bank().options()));
+  BBV_ASSIGN_OR_RETURN(stats::CellBatch evicted,
+                       window_.Push(std::move(cells)));
   const common::Result<ScoreEstimate> window_estimate =
       predictor_->EstimateScoreFromStatistics(
           window_.bank().PercentileFeatures(predictor_->percentile_points()));

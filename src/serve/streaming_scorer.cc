@@ -1,12 +1,9 @@
 #include "serve/streaming_scorer.h"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
 
-#include "common/check.h"
 #include "common/telemetry.h"
 
 namespace bbv::serve {
@@ -56,31 +53,17 @@ common::Status StreamingScorer::Ingest(const linalg::Matrix& probabilities,
         " classes but the predictor was trained on " +
         std::to_string(expected_classes()));
   }
-  // Reject NaN/Inf up front: the sketches treat non-finite input as a
-  // programming error, but a serving stream must degrade recoverably.
-  for (size_t i = 0; i < probabilities.rows(); ++i) {
-    const double* row = probabilities.RowData(i);
-    for (size_t k = 0; k < probabilities.cols(); ++k) {
-      if (!std::isfinite(row[k])) {
-        common::telemetry::IncrementCounter("serve.nonfinite_batches");
-        return common::Status::InvalidArgument(
-            "mini-batch contains a non-finite probability at row " +
-            std::to_string(i));
-      }
-    }
+  // The shape was checked above, so a batch the bank rejects holds a NaN
+  // or +-inf value; the bank rejects it before any count moves.
+  const common::Status observed = bank_.Observe(probabilities, cells);
+  if (!observed.ok()) {
+    common::telemetry::IncrementCounter("serve.nonfinite_batches");
+    return observed;
   }
-  BBV_RETURN_NOT_OK(bank_.Observe(probabilities, cells));
   ++batches_ingested_;
   common::telemetry::IncrementCounter("serve.batches");
   common::telemetry::IncrementCounter("serve.rows", probabilities.rows());
   return common::Status::OK();
-}
-
-common::Status StreamingScorer::IngestFrame(const ml::BlackBox& model,
-                                            const data::DataFrame& serving) {
-  BBV_ASSIGN_OR_RETURN(linalg::Matrix probabilities,
-                       model.PredictProba(serving));
-  return Ingest(probabilities);
 }
 
 common::Result<std::vector<double>> StreamingScorer::PercentileFeatures()
@@ -142,26 +125,6 @@ common::Status StreamingScorer::SwapPredictor(
 size_t StreamingScorer::expected_classes() const {
   return predictor_->feature_dimension() /
          predictor_->percentile_points().size();
-}
-
-common::Result<double> StreamingScorer::MaxClassKsDistance(
-    const StreamingScorer& reference) const {
-  if (num_classes() == 0 || reference.num_classes() == 0) {
-    return common::Status::FailedPrecondition(
-        "KS distance before any ingested rows");
-  }
-  if (num_classes() != reference.num_classes()) {
-    return common::Status::InvalidArgument(
-        "KS distance across different class counts");
-  }
-  double max_distance = 0.0;
-  for (size_t k = 0; k < num_classes(); ++k) {
-    BBV_ASSIGN_OR_RETURN(
-        double distance,
-        stats::KsStatistic(bank_.sketch(k), reference.bank_.sketch(k)));
-    max_distance = std::max(max_distance, distance);
-  }
-  return max_distance;
 }
 
 double StreamingScorer::ValueErrorBound() const {

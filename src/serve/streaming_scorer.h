@@ -12,9 +12,7 @@
 #include "common/result.h"
 #include "common/serialize.h"
 #include "core/performance_predictor.h"
-#include "data/dataframe.h"
 #include "linalg/matrix.h"
-#include "ml/black_box.h"
 #include "stats/quantile_sketch.h"
 
 namespace bbv::serve {
@@ -70,10 +68,6 @@ class StreamingScorer {
   common::Status Ingest(const linalg::Matrix& probabilities,
                         stats::CellBatch* cells = nullptr);
 
-  /// Runs the model on `serving` and ingests the resulting probabilities.
-  common::Status IngestFrame(const ml::BlackBox& model,
-                             const data::DataFrame& serving);
-
   /// Percentile feature vector over everything ingested so far, evaluated
   /// at the predictor's percentile grid. Requires at least one ingested row.
   common::Result<std::vector<double>> PercentileFeatures() const;
@@ -99,13 +93,6 @@ class StreamingScorer {
   /// Classes the predictor's feature vector implies
   /// (feature_dimension / |percentile grid|).
   size_t expected_classes() const;
-
-  /// Kolmogorov-Smirnov distance between this scorer's per-class output
-  /// distributions and a reference scorer's (e.g. one filled from the clean
-  /// held-out test set): max over classes of the per-class KS statistic.
-  /// A drift signal that needs no labels and no retained rows.
-  common::Result<double> MaxClassKsDistance(
-      const StreamingScorer& reference) const;
 
   uint64_t rows_ingested() const { return bank_.rows_observed(); }
   size_t batches_ingested() const { return batches_ingested_; }

@@ -342,10 +342,8 @@ common::Status ValidatorService::SaveTenantState(const std::string& model_id,
   if (it->second.scorer.has_value()) {
     return it->second.scorer->SaveState(out);
   }
-  // Evicted: the bank unpacked from the cold store saves the same bytes.
-  BBV_ASSIGN_OR_RETURN(stats::QuantileSketchBank bank,
-                       UnpackColdState(it->second));
-  return bank.Save(out);
+  // Evicted: the cold store holds the bank's Save bytes.
+  return common::WriteArchive(out, it->second.cold_state);
 }
 
 common::Result<ValidatorService::TenantInfo> ValidatorService::GetTenantInfo(
@@ -395,22 +393,15 @@ common::Status ValidatorService::EnsureResident(Tenant& tenant) {
   BBV_ASSIGN_OR_RETURN(
       StreamingScorer scorer,
       StreamingScorer::Create(tenant.predictor, tenant.options.scorer));
+  common::BinaryReader reader(tenant.cold_state);
   BBV_ASSIGN_OR_RETURN(stats::QuantileSketchBank bank,
-                       UnpackColdState(tenant));
+                       stats::QuantileSketchBank::Load(reader));
   BBV_RETURN_NOT_OK(scorer.RestoreState(std::move(bank)));
   tenant.scorer.emplace(std::move(scorer));
   tenant.cold_state.clear();
   tenant.cold_state.shrink_to_fit();
   common::telemetry::IncrementCounter("serve.service.rehydrations");
   return common::Status::OK();
-}
-
-common::Result<stats::QuantileSketchBank> ValidatorService::UnpackColdState(
-    const Tenant& tenant) {
-  stats::QuantileSketch::Options grid;
-  grid.resolution_bits = tenant.options.scorer.resolution_bits;
-  common::BinaryReader reader(tenant.cold_state);
-  return stats::QuantileSketchBank::Unpack(reader, grid);
 }
 
 void ValidatorService::EnforceResidencyCap() {
@@ -432,7 +423,8 @@ void ValidatorService::EnforceResidencyCap() {
     }
     Tenant& tenant = coldest->second;
     evict_writer_.Clear();
-    tenant.scorer->bank().Pack(evict_writer_);
+    const common::Status saved = tenant.scorer->bank().Save(evict_writer_);
+    BBV_CHECK(saved.ok()) << saved.ToString();
     tenant.cold_rows = tenant.scorer->rows_ingested();
     tenant.cold_state = std::string(evict_writer_.bytes());
     tenant.scorer.reset();

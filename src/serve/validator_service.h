@@ -61,14 +61,15 @@ namespace bbv::serve {
 ///    to a standalone ModelMonitor::CreateForProba fed the same stream.
 ///
 ///  * LRU eviction of cold tenants. With Options::max_resident_tenants set,
-///    the least recently used tenants' sketch banks are packed
-///    (QuantileSketchBank::Pack, about 2 bytes a non-empty cell) into an
-///    in-memory cold store, one exact-size buffer per tenant, and the
-///    scorer is destroyed; the next request for the tenant rehydrates it
-///    from that buffer in place. The round-trip restores the bank's exact
-///    cells (and so its SaveState bytes), so eviction is
-///    invisible to scoring results. The monitor window is dropped on
-///    eviction (the same epoch-boundary contract as a hot-swap).
+///    the least recently used tenants' sketch banks are saved
+///    (QuantileSketchBank::Save, about one byte a cell) into an in-memory
+///    cold store, one exact-size buffer per tenant, and the scorer is
+///    destroyed; the next request for the tenant rehydrates it from that
+///    buffer in place. The round-trip restores the bank's exact cells, so
+///    eviction is invisible to scoring results, and SaveTenantState of an
+///    evicted tenant writes the stored bytes as they are. The monitor window
+///    is dropped on eviction (the same epoch-boundary contract as a
+///    hot-swap).
 ///
 /// Error contract: a malformed request (unknown tenant, class-count
 /// mismatch, non-finite probabilities, corrupt state) fails only its own
@@ -221,8 +222,8 @@ class ValidatorService {
     TenantOptions options;
     /// Resident scorer; nullopt while evicted.
     std::optional<StreamingScorer> scorer;
-    /// The packed bank while evicted, with no capacity beyond its size;
-    /// empty while resident.
+    /// The bank's Save bytes while evicted, with no capacity beyond their
+    /// size; empty while resident.
     std::string cold_state;
     /// rows_ingested() at eviction time, so GetTenantInfo need not parse
     /// the cold bytes.
@@ -249,10 +250,7 @@ class ValidatorService {
   /// Ensures the tenant's scorer is resident, rehydrating from the cold
   /// store if needed.
   common::Status EnsureResident(Tenant& tenant) BBV_REQUIRES(mutex_);
-  /// The bank an evicted tenant's cold_state packs.
-  static common::Result<stats::QuantileSketchBank> UnpackColdState(
-      const Tenant& tenant);
-  /// Packs + drops scorers of least-recently-used tenants until the
+  /// Saves + drops scorers of least-recently-used tenants until the
   /// residency cap holds.
   void EnforceResidencyCap() BBV_REQUIRES(mutex_);
   /// Scores `ops` (all for `tenant`, in submission order) into `responses`;
@@ -276,7 +274,7 @@ class ValidatorService {
   std::vector<PendingOp> pending_ BBV_GUARDED_BY(mutex_);
   uint64_t next_request_id_ BBV_GUARDED_BY(mutex_) = 0;
   uint64_t touch_clock_ BBV_GUARDED_BY(mutex_) = 0;
-  /// Archive each eviction packs into; it keeps its capacity between
+  /// Archive each eviction saves into; it keeps its capacity between
   /// evictions, and the cold store copies out exactly the bytes written.
   common::BinaryWriter evict_writer_ BBV_GUARDED_BY(mutex_);
 };

@@ -16,14 +16,11 @@ namespace bbv::stats {
 
 namespace {
 
-constexpr char kSketchMagic[] = "BBVQS";
-constexpr uint32_t kSketchVersion = 1;
 constexpr char kBankMagic[] = "BBVQB";
-constexpr uint32_t kBankVersion = 1;
+/// Version 2: each column is its PackCells. Load rejects version 1, which
+/// wrote each column as a sketch archive of (cell, weight) pairs.
+constexpr uint32_t kBankVersion = 2;
 constexpr int kMaxResolutionBits = 24;
-/// Bytes of a serialized sketch with no cells: magic, version, resolution,
-/// domain, total and cell count.
-constexpr size_t kMinSketchBytes = 5 + 4 + 4 + 8 + 8 + 8 + 8;
 
 bool GridsMatch(const QuantileSketch::Options& a,
                 const QuantileSketch::Options& b) {
@@ -209,22 +206,6 @@ std::vector<double> QuantileSketch::Quantiles(
   return out;
 }
 
-double QuantileSketch::Cdf(double x) const {
-  BBV_CHECK(count_ > 0) << "Cdf of an empty sketch";
-  if (x < options_.lo) return 0.0;
-  // Mass at grid point `cell` <= CellIndex(x) has quantized value <= the
-  // quantized x, so it counts as <= x in the quantized distribution: whole
-  // blocks below x's block by their counts, then x's block cell by cell.
-  const size_t limit = CellIndex(x, options_);
-  const size_t limit_block = limit / kBlockCells;
-  uint64_t below = 0;
-  for (size_t block = 0; block < limit_block; ++block) below += blocks_[block];
-  for (size_t cell = limit_block * kBlockCells; cell <= limit; ++cell) {
-    below += cells_[cell];
-  }
-  return static_cast<double>(below) / static_cast<double>(count_);
-}
-
 size_t QuantileSketch::num_nonzero_cells() const {
   size_t nonzero = 0;
   for (size_t block = 0; block < blocks_.size(); ++block) {
@@ -249,108 +230,6 @@ size_t QuantileSketch::BlockEnd(size_t block) const {
 double QuantileSketch::CellWidth() const {
   return (options_.hi - options_.lo) /
          static_cast<double>(size_t{1} << options_.resolution_bits);
-}
-
-common::Status QuantileSketch::Save(common::BinaryWriter& writer) const {
-  writer.WriteMagic(kSketchMagic, kSketchVersion);
-  writer.WriteInt32(options_.resolution_bits);
-  writer.WriteDouble(options_.lo);
-  writer.WriteDouble(options_.hi);
-  writer.WriteUint64(count_);
-  // The cell count precedes the pairs; it is patched in once the one pass
-  // over the non-empty blocks has counted them.
-  const size_t nonzero_at = writer.size();
-  writer.WriteUint64(0);
-  uint64_t nonzero = 0;
-  uint64_t pairs[2 * kBlockCells];
-  for (size_t block = 0; block < blocks_.size(); ++block) {
-    if (blocks_[block] == 0) continue;
-    size_t filled = 0;
-    const size_t end = BlockEnd(block);
-    for (size_t cell = block * kBlockCells; cell < end; ++cell) {
-      if (cells_[cell] == 0) continue;
-      pairs[filled++] = cell;
-      pairs[filled++] = cells_[cell];
-    }
-    writer.WriteUint64s(std::span<const uint64_t>(pairs, filled));
-    nonzero += filled / 2;
-  }
-  writer.PatchUint64(nonzero_at, nonzero);
-  return common::Status::OK();
-}
-
-common::Status QuantileSketch::Save(std::ostream& out) const {
-  return common::SaveToStream(
-      out, [&](common::BinaryWriter& writer) { return Save(writer); });
-}
-
-common::Result<QuantileSketch> QuantileSketch::Load(
-    common::BinaryReader& reader) {
-  BBV_RETURN_NOT_OK(reader.ExpectMagic(kSketchMagic, kSketchVersion));
-  BBV_ASSIGN_OR_RETURN(int32_t resolution_bits, reader.ReadInt32());
-  if (resolution_bits < 1 || resolution_bits > kMaxResolutionBits) {
-    return common::Status::InvalidArgument("corrupt sketch resolution");
-  }
-  Options options;
-  options.resolution_bits = resolution_bits;
-  BBV_ASSIGN_OR_RETURN(options.lo, reader.ReadDouble());
-  BBV_ASSIGN_OR_RETURN(options.hi, reader.ReadDouble());
-  if (!std::isfinite(options.lo) || !std::isfinite(options.hi) ||
-      !(options.lo < options.hi)) {
-    return common::Status::InvalidArgument("corrupt sketch domain");
-  }
-  BBV_ASSIGN_OR_RETURN(uint64_t total, reader.ReadUint64());
-  BBV_ASSIGN_OR_RETURN(uint64_t nonzero, reader.ReadUint64());
-  if (nonzero > (uint64_t{1} << resolution_bits) + 1) {
-    return common::Status::InvalidArgument("corrupt sketch cell count");
-  }
-  // Check the pairs are there before allocating the grid for them.
-  if (nonzero > reader.remaining() / (2 * sizeof(uint64_t))) {
-    return common::Status::IoError("truncated stream");
-  }
-  QuantileSketch sketch(options);
-  uint64_t sum = 0;
-  uint64_t previous = 0;
-  uint64_t pairs[2 * kBlockCells];
-  for (uint64_t read = 0; read < nonzero;) {
-    const size_t batch =
-        static_cast<size_t>(std::min<uint64_t>(kBlockCells, nonzero - read));
-    BBV_RETURN_NOT_OK(
-        reader.ReadUint64s(std::span<uint64_t>(pairs, 2 * batch)));
-    for (size_t i = 0; i < batch; ++i) {
-      const uint64_t cell = pairs[2 * i];
-      const uint64_t weight = pairs[2 * i + 1];
-      if (cell >= sketch.cells_.size() || weight == 0) {
-        return common::Status::InvalidArgument("corrupt sketch cell entry");
-      }
-      // Save writes each non-empty cell once, in ascending order; anything
-      // else would count a cell twice or reload to different bytes.
-      if (sum > 0 && cell <= previous) {
-        return common::Status::InvalidArgument(
-            "sketch cell entries must have strictly ascending indices");
-      }
-      if (weight > total - sum) {
-        return common::Status::InvalidArgument(
-            "sketch cell weights disagree with the stored total");
-      }
-      sketch.cells_[cell] = weight;
-      sketch.blocks_[cell / kBlockCells] += weight;
-      sum += weight;
-      previous = cell;
-    }
-    read += batch;
-  }
-  if (sum != total) {
-    return common::Status::InvalidArgument(
-        "sketch cell weights disagree with the stored total");
-  }
-  sketch.count_ = total;
-  return sketch;
-}
-
-common::Result<QuantileSketch> QuantileSketch::Load(std::istream& in) {
-  return common::LoadFromStream(
-      in, [](common::BinaryReader& reader) { return Load(reader); });
 }
 
 namespace {
@@ -457,6 +336,16 @@ common::Result<QuantileSketch> QuantileSketch::UnpackCells(
       return common::Status::InvalidArgument(
           "packed sketch cells exceed the count");
     }
+    // PackCells writes only non-empty blocks, each at the narrowest width
+    // that holds its largest weight; other bytes would not save back.
+    const uint64_t widest = *std::max_element(cells.begin(), cells.end());
+    if (widest == 0) {
+      return common::Status::InvalidArgument("empty packed sketch block");
+    }
+    if (WidthCode(widest) != code) {
+      return common::Status::InvalidArgument(
+          "packed sketch block is wider than its largest weight needs");
+    }
     sketch.blocks_[block] = before - budget;
     next_block = block + 1;
   }
@@ -468,34 +357,6 @@ common::Result<QuantileSketch> QuantileSketch::UnpackCells(
   return sketch;
 }
 
-common::Result<double> KsStatistic(const QuantileSketch& a,
-                                   const QuantileSketch& b) {
-  if (!GridsMatch(a.options(), b.options())) {
-    return common::Status::InvalidArgument(
-        "KsStatistic requires sketches on identical grids");
-  }
-  if (a.empty() || b.empty()) {
-    return common::Status::InvalidArgument(
-        "KsStatistic requires non-empty sketches");
-  }
-  // Both CDFs are step functions jumping only at grid points, so the
-  // supremum of |F_a - F_b| is attained at a grid point; one joint
-  // cumulative pass over the shared grid.
-  double statistic = 0.0;
-  uint64_t below_a = 0;
-  uint64_t below_b = 0;
-  const double total_a = static_cast<double>(a.count());
-  const double total_b = static_cast<double>(b.count());
-  for (size_t cell = 0; cell < a.cell_counts().size(); ++cell) {
-    below_a += a.cell_counts()[cell];
-    below_b += b.cell_counts()[cell];
-    const double gap = std::abs(static_cast<double>(below_a) / total_a -
-                                static_cast<double>(below_b) / total_b);
-    statistic = std::max(statistic, gap);
-  }
-  return statistic;
-}
-
 QuantileSketchBank::QuantileSketchBank(size_t num_columns,
                                        QuantileSketch::Options options)
     : options_(options) {
@@ -505,8 +366,8 @@ QuantileSketchBank::QuantileSketchBank(size_t num_columns,
   }
 }
 
-CellBatch CellBatch::Of(const linalg::Matrix& values,
-                        const QuantileSketch::Options& grid) {
+common::Result<CellBatch> CellBatch::Of(const linalg::Matrix& values,
+                                        const QuantileSketch::Options& grid) {
   CellBatch batch;
   batch.grid = grid;
   batch.columns = values.cols();
@@ -515,7 +376,10 @@ CellBatch CellBatch::Of(const linalg::Matrix& values,
     uint32_t* column = batch.cells.data() + k * values.rows();
     for (size_t i = 0; i < values.rows(); ++i) {
       const double value = values.At(i, k);
-      BBV_CHECK(std::isfinite(value)) << "CellBatch::Of of NaN/Inf";
+      if (!std::isfinite(value)) {
+        return common::Status::InvalidArgument(
+            "batch holds a non-finite value at row " + std::to_string(i));
+      }
       column[i] = static_cast<uint32_t>(QuantileSketch::CellIndex(value, grid));
     }
   }
@@ -525,20 +389,30 @@ CellBatch CellBatch::Of(const linalg::Matrix& values,
 common::Status QuantileSketchBank::Observe(const linalg::Matrix& values,
                                            CellBatch* cells) {
   const common::telemetry::TraceSpan span("sketch_bank.observe");
-  if (values.rows() == 0) {
+  if (values.rows() == 0 || values.cols() == 0) {
     return common::Status::InvalidArgument(
         "QuantileSketchBank::Observe on an empty batch");
   }
-  if (sketches_.empty()) {
-    // First batch fixes the width of a default-constructed bank.
-    sketches_.reserve(values.cols());
-    for (size_t k = 0; k < values.cols(); ++k) {
-      sketches_.emplace_back(options_);
-    }
-  } else if (values.cols() != sketches_.size()) {
+  if (!sketches_.empty() && values.cols() != sketches_.size()) {
     return common::Status::InvalidArgument(
         "batch has " + std::to_string(values.cols()) +
         " columns but the bank tracks " + std::to_string(sketches_.size()));
+  }
+  // Reject NaN/Inf before any count moves, so a rejected batch leaves no
+  // trace: the sketches treat non-finite input as a programming error, but
+  // a serving stream must degrade recoverably.
+  for (size_t i = 0; i < values.rows(); ++i) {
+    const double* row = values.RowData(i);
+    for (size_t k = 0; k < values.cols(); ++k) {
+      if (!std::isfinite(row[k])) {
+        return common::Status::InvalidArgument(
+            "batch holds a non-finite value at row " + std::to_string(i));
+      }
+    }
+  }
+  if (sketches_.empty()) {
+    // First batch fixes the width of a default-constructed bank.
+    sketches_.assign(values.cols(), QuantileSketch(options_));
   }
   const size_t rows = values.rows();
   if (cells != nullptr) {
@@ -686,11 +560,9 @@ common::Status QuantileSketchBank::Save(common::BinaryWriter& writer) const {
   writer.WriteInt32(options_.resolution_bits);
   writer.WriteDouble(options_.lo);
   writer.WriteDouble(options_.hi);
-  writer.WriteUint64(rows_observed_);
-  writer.WriteUint64(sketches_.size());
-  for (const QuantileSketch& sketch : sketches_) {
-    BBV_RETURN_NOT_OK(sketch.Save(writer));
-  }
+  writer.WriteVarUint64(rows_observed_);
+  writer.WriteVarUint64(sketches_.size());
+  for (const QuantileSketch& sketch : sketches_) sketch.PackCells(writer);
   return common::Status::OK();
 }
 
@@ -714,15 +586,16 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(
       !(options.lo < options.hi)) {
     return common::Status::InvalidArgument("corrupt bank domain");
   }
-  BBV_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadUint64());
-  BBV_ASSIGN_OR_RETURN(uint64_t columns, reader.ReadUint64());
+  BBV_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadVarUint64());
+  BBV_ASSIGN_OR_RETURN(uint64_t columns, reader.ReadVarUint64());
   const uint64_t column_bytes =
       ((uint64_t{1} << resolution_bits) + 1) * sizeof(uint64_t);
   if (columns > kMaxLoadedStateBytes / column_bytes) {
     return common::Status::InvalidArgument(
         "bank header claims more dense sketch state than Load accepts");
   }
-  if (columns > reader.remaining() / kMinSketchBytes) {
+  // Every column takes at least its terminating byte.
+  if (columns > reader.remaining()) {
     return common::Status::IoError("truncated stream");
   }
   if (columns == 0 && rows != 0) {
@@ -732,22 +605,12 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(
   QuantileSketchBank bank(0, options);
   bank.sketches_.reserve(static_cast<size_t>(columns));
   for (uint64_t k = 0; k < columns; ++k) {
-    // Each column's grid is allocated by its own Load, once its bytes have
-    // been read, so a header alone never allocates dense state.
-    BBV_ASSIGN_OR_RETURN(QuantileSketch sketch, QuantileSketch::Load(reader));
-    if (!GridsMatch(sketch.options(), options)) {
-      return common::Status::InvalidArgument(
-          "bank sketch grid disagrees with the bank header");
-    }
-    // Every row contributes exactly one value per column, so a sketch whose
-    // count disagrees with the header is corrupt state. Without this guard a
-    // bank claiming rows > 0 over empty sketches would pass Load and then
-    // crash PercentileFeatures (which BBV_CHECKs non-emptiness) — a process
-    // abort reachable from untrusted bytes.
-    if (sketch.count() != rows) {
-      return common::Status::InvalidArgument(
-          "bank sketch count disagrees with the stored row count");
-    }
+    // Every row contributes exactly one value per column, so each column's
+    // cells must add up to the row count (UnpackCells' budget). Without
+    // this a bank claiming rows over empty sketches would load and then
+    // abort PercentileFeatures.
+    BBV_ASSIGN_OR_RETURN(QuantileSketch sketch,
+                         QuantileSketch::UnpackCells(reader, options, rows));
     bank.sketches_.push_back(std::move(sketch));
   }
   bank.rows_observed_ = rows;
@@ -757,31 +620,6 @@ common::Result<QuantileSketchBank> QuantileSketchBank::Load(
 common::Result<QuantileSketchBank> QuantileSketchBank::Load(std::istream& in) {
   return common::LoadFromStream(
       in, [](common::BinaryReader& reader) { return Load(reader); });
-}
-
-void QuantileSketchBank::Pack(common::BinaryWriter& writer) const {
-  writer.WriteVarUint64(rows_observed_);
-  writer.WriteVarUint64(sketches_.size());
-  for (const QuantileSketch& sketch : sketches_) sketch.PackCells(writer);
-}
-
-common::Result<QuantileSketchBank> QuantileSketchBank::Unpack(
-    common::BinaryReader& reader, const QuantileSketch::Options& grid) {
-  BBV_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadVarUint64());
-  BBV_ASSIGN_OR_RETURN(uint64_t columns, reader.ReadVarUint64());
-  // Every packed column takes at least its terminating byte.
-  if (columns > reader.remaining() || (columns == 0 && rows != 0)) {
-    return common::Status::InvalidArgument("corrupt packed bank");
-  }
-  QuantileSketchBank bank(0, grid);
-  bank.sketches_.reserve(static_cast<size_t>(columns));
-  for (uint64_t k = 0; k < columns; ++k) {
-    BBV_ASSIGN_OR_RETURN(QuantileSketch sketch,
-                         QuantileSketch::UnpackCells(reader, grid, rows));
-    bank.sketches_.push_back(std::move(sketch));
-  }
-  bank.rows_observed_ = rows;
-  return bank;
 }
 
 QuantileSketchWindow::QuantileSketchWindow(size_t max_batches,

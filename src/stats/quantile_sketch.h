@@ -39,15 +39,14 @@ namespace bbv::stats {
 /// interpolated percentile — of the sketched stream is within
 /// ValueErrorBound() = CellWidth()/2 of the exact value computed by
 /// SortedView on the full stream. Within the quantized multiset, quantile
-/// queries are rank-exact (zero rank error), so two sketches over the same
-/// grid also support exact Kolmogorov-Smirnov distances between their
-/// quantized distributions (see KsStatistic).
+/// queries are rank-exact (zero rank error).
 ///
 /// Besides the dense cells the sketch keeps one derived count per block of
 /// kBlockCells consecutive cells (the block's total weight). Quantiles skip
-/// every block where no requested rank lands, and Save, num_nonzero_cells,
-/// Merge and Cdf skip empty blocks, so they cost what the sketch holds
-/// rather than the full grid. The counts never reach the serialized bytes.
+/// every block where no requested rank lands, and PackCells,
+/// num_nonzero_cells and Merge skip empty blocks, so they cost what the
+/// sketch holds rather than the full grid. The counts never reach the
+/// serialized bytes.
 class QuantileSketch {
  public:
   /// Cells per block of the block index.
@@ -70,9 +69,9 @@ class QuantileSketch {
   explicit QuantileSketch(Options options);
 
   /// Records `weight` occurrences of `value` (clamped to [lo, hi];
-  /// non-finite values are rejected with a BBV_CHECK — the serving layer
-  /// filters them before they reach the sketch). Returns the grid cell the
-  /// value landed in.
+  /// non-finite values are rejected with a BBV_CHECK —
+  /// QuantileSketchBank::Observe filters them before they reach the
+  /// sketch). Returns the grid cell the value landed in.
   size_t Add(double value, uint64_t weight = 1);
 
   /// Adds / removes one occurrence per entry of `cells` (grid cell indices
@@ -98,21 +97,15 @@ class QuantileSketch {
   /// `qs` must be sorted ascending.
   std::vector<double> Quantiles(const std::vector<double>& qs) const;
 
-  /// Fraction of sketched mass with (quantized) value <= x. Requires a
-  /// non-empty sketch. Together with a shared grid this is the KS-ready
-  /// CDF summary: see KsStatistic.
-  double Cdf(double x) const;
-
   /// Total weight added so far.
   uint64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// Number of grid cells with non-zero weight (the sparse serialized size).
+  /// Number of grid cells with non-zero weight.
   size_t num_nonzero_cells() const;
 
   /// Read-only view of the per-grid-point multiplicities (size
-  /// 2^resolution_bits + 1). Exposed for CDF-level consumers (KsStatistic)
-  /// and canonicality tests.
+  /// 2^resolution_bits + 1), for canonicality tests.
   const std::vector<uint64_t>& cell_counts() const { return cells_; }
 
   /// Resident size of the sketch state in bytes (dense cells and block
@@ -132,22 +125,15 @@ class QuantileSketch {
   /// domain; requires a finite value.
   static size_t CellIndex(double value, const Options& options);
 
-  /// Canonical serialization: equal multisets produce identical bytes
-  /// regardless of Add/Merge order. Sparse (index, weight) pairs in
-  /// ascending cell order; Load rejects any other order, a repeated cell and
-  /// weights that disagree with the stored total.
-  common::Status Save(common::BinaryWriter& writer) const;
-  common::Status Save(std::ostream& out) const;
-  static common::Result<QuantileSketch> Load(common::BinaryReader& reader);
-  static common::Result<QuantileSketch> Load(std::istream& in);
-
-  /// Compact cells for an in-process cold store, not a persistence format:
-  /// no magic, grid or total. Each non-empty block as a varint (gap from
-  /// the previous packed block, byte width) header and its cells at that
-  /// width, then a zero header: one byte a cell for a block whose weights
-  /// stay below 256, where Save spends 16 a non-empty cell. UnpackCells
-  /// rebuilds, on `grid` and given the packed sketch's count(), a sketch
-  /// whose Save bytes equal the packed one's.
+  /// The sketch's cells as one column of QuantileSketchBank::Save: each
+  /// non-empty block as a varint (gap from the previous written block, byte
+  /// width) header and its cells at the narrowest width that holds the
+  /// block's largest weight, then a zero header. One byte a cell for a block
+  /// whose weights stay below 256. Equal multisets write equal bytes.
+  /// UnpackCells rebuilds, on `grid` and given the packed sketch's count(),
+  /// a sketch that packs to the same bytes, and rejects any other bytes: a
+  /// block past the grid, an empty block, a width wider than the block's
+  /// largest weight needs, and cells that do not add up to `count`.
   void PackCells(common::BinaryWriter& writer) const;
   static common::Result<QuantileSketch> UnpackCells(
       common::BinaryReader& reader, const Options& grid, uint64_t count);
@@ -166,13 +152,6 @@ class QuantileSketch {
   uint64_t count_ = 0;
 };
 
-/// Kolmogorov-Smirnov distance max_x |F_a(x) - F_b(x)| between the quantized
-/// distributions of two non-empty sketches on identical grids. Exact for the
-/// quantized data; within one cell width of the KS distance of the
-/// underlying streams.
-common::Result<double> KsStatistic(const QuantileSketch& a,
-                                   const QuantileSketch& b);
-
 /// One batch of a column-indexed stream mapped to grid cells:
 /// cells[k * rows() + i] is the grid cell of value (i, k) on `grid`. This is
 /// the form QuantileSketchBank::Observe reports a batch in and the form
@@ -182,10 +161,10 @@ struct CellBatch {
   size_t columns = 0;
   std::vector<uint32_t> cells;
 
-  /// Maps every entry of `values` to its cell on `grid`; requires finite
-  /// values.
-  static CellBatch Of(const linalg::Matrix& values,
-                      const QuantileSketch::Options& grid);
+  /// Maps every entry of `values` to its cell on `grid`. Rejects a NaN or
+  /// +-inf entry.
+  static common::Result<CellBatch> Of(const linalg::Matrix& values,
+                                      const QuantileSketch::Options& grid);
   size_t rows() const { return columns == 0 ? 0 : cells.size() / columns; }
   bool empty() const { return cells.empty(); }
 };
@@ -202,9 +181,11 @@ class QuantileSketchBank {
   QuantileSketchBank() = default;
   QuantileSketchBank(size_t num_columns, QuantileSketch::Options options);
 
-  /// Adds every entry of `values` to the sketch of its column. Rejects an
-  /// empty batch and a column-count mismatch with the bank's width (the
-  /// first observed batch fixes the width of a default-constructed bank).
+  /// Adds every entry of `values` to the sketch of its column. Rejects a
+  /// batch with no rows or no columns, a column-count mismatch with the
+  /// bank's width (the first observed batch fixes the width of a
+  /// default-constructed bank) and a NaN or +-inf entry, all before any
+  /// count moves, so a rejected batch leaves the bank unchanged.
   /// Columns are independent, so the update fans out over the shared thread
   /// pool; results are identical at every BBV_THREADS setting. When `cells`
   /// is non-null it also receives the batch's grid cells, recorded in the
@@ -246,19 +227,15 @@ class QuantileSketchBank {
   /// the maximum 24), before allocating any of them.
   static constexpr uint64_t kMaxLoadedStateBytes = uint64_t{1} << 30;
 
-  /// Canonical bytes (see QuantileSketch::Save).
+  /// Canonical bytes: equal multisets produce identical bytes regardless
+  /// of Observe/Merge order and thread count. Magic "BBVQB", version 2, the
+  /// grid (resolution, lo, hi), varint rows and columns, then each column's
+  /// QuantileSketch::PackCells. Load accepts exactly the bytes Save writes
+  /// and returns a Status for anything else.
   common::Status Save(common::BinaryWriter& writer) const;
   common::Status Save(std::ostream& out) const;
   static common::Result<QuantileSketchBank> Load(common::BinaryReader& reader);
   static common::Result<QuantileSketchBank> Load(std::istream& in);
-
-  /// Compact form for an in-process cold store: the row and column counts,
-  /// then each column's QuantileSketch::PackCells. Unpack rebuilds the bank
-  /// on `grid` (the packed bank's options()) with Save bytes equal to the
-  /// packed bank's.
-  void Pack(common::BinaryWriter& writer) const;
-  static common::Result<QuantileSketchBank> Unpack(
-      common::BinaryReader& reader, const QuantileSketch::Options& grid);
 
  private:
   QuantileSketch::Options options_;

@@ -98,6 +98,16 @@ TEST(BinaryArchiveTest, MalformedVarintsRejected) {
   common::BinaryReader wide_reader(too_wide);
   EXPECT_FALSE(wide_reader.ReadVarUint64().ok());
   EXPECT_EQ(wide_reader.position(), 0u);
+  // Padded encodings, which WriteVarUint64 never writes: 0x80 0x00 is a
+  // two-byte zero.
+  const std::string padded = std::string("\x80\x00", 2);
+  common::BinaryReader padded_reader(padded);
+  EXPECT_FALSE(padded_reader.ReadVarUint64().ok());
+  EXPECT_EQ(padded_reader.position(), 0u);
+  std::string padded_max(9, static_cast<char>(0xFF));
+  padded_max.push_back(0x00);
+  common::BinaryReader padded_max_reader(padded_max);
+  EXPECT_FALSE(padded_max_reader.ReadVarUint64().ok());
   // A truncated varint consumes nothing.
   const std::string truncated(2, static_cast<char>(0x80));
   common::BinaryReader truncated_reader(truncated);

@@ -21,9 +21,6 @@
 #include "common/rng.h"
 #include "core/monitor.h"
 #include "core/prediction_statistics.h"
-#include "datasets/tabular.h"
-#include "ml/black_box.h"
-#include "ml/sgd_logistic_regression.h"
 
 namespace bbv::serve {
 namespace {
@@ -261,45 +258,6 @@ TEST(StreamingScorerTest, MergedPartialsMatchSingleStream) {
   auto other = StreamingScorer::Create(predictor, coarse);
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(left->MergeFrom(*other).ok());
-}
-
-TEST(StreamingScorerTest, KsDistanceSeparatesDriftedTraffic) {
-  common::Rng rng(36);
-  core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);
-  auto reference = StreamingScorer::Create(predictor, {});
-  auto same = StreamingScorer::Create(predictor, {});
-  auto drifted = StreamingScorer::Create(predictor, {});
-  ASSERT_TRUE(reference.ok());
-  ASSERT_TRUE(same.ok());
-  ASSERT_TRUE(drifted.ok());
-  EXPECT_FALSE(same->MaxClassKsDistance(*reference).ok());
-
-  ASSERT_TRUE(reference->Ingest(MixtureBatch(1.0, 1000)).ok());
-  ASSERT_TRUE(same->Ingest(MixtureBatch(1.0, 1000)).ok());
-  ASSERT_TRUE(drifted->Ingest(MixtureBatch(0.0, 1000)).ok());
-
-  const auto near_zero = same->MaxClassKsDistance(*reference);
-  ASSERT_TRUE(near_zero.ok());
-  EXPECT_NEAR(*near_zero, 0.0, 1e-12);
-  const auto large = drifted->MaxClassKsDistance(*reference);
-  ASSERT_TRUE(large.ok());
-  EXPECT_GT(*large, 0.4);
-}
-
-TEST(StreamingScorerTest, IngestFrameRunsTheModel) {
-  common::Rng rng(37);
-  core::PerformancePredictor predictor = TrainSyntheticPredictor(rng);
-  auto scorer = StreamingScorer::Create(predictor, {});
-  ASSERT_TRUE(scorer.ok());
-
-  data::Dataset dataset = datasets::MakeIncome(600, rng);
-  ml::BlackBoxModel model(std::make_unique<ml::SgdLogisticRegression>());
-  ASSERT_TRUE(model.Train(dataset, rng).ok());
-  ASSERT_TRUE(scorer->IngestFrame(model, dataset.features).ok());
-  EXPECT_EQ(scorer->rows_ingested(), dataset.features.NumRows());
-  const auto estimate = scorer->EstimateScore();
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_TRUE(std::isfinite(estimate->point));
 }
 
 TEST(StreamingScorerTest, SaveLoadRoundTripIsByteIdentical) {

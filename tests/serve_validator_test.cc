@@ -379,6 +379,10 @@ TEST(ValidatorServiceTest, EvictionAndRehydrationAreByteInvisible) {
   ASSERT_TRUE(service.CreateTenant("a", predictor).ok());
   ASSERT_TRUE(service.CreateTenant("b", predictor).ok());
   EXPECT_EQ(service.num_resident(), 1u);
+  // "b"'s creation evicted "a" before it ingested anything.
+  auto fresh = StreamingScorer::Create(predictor, {});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(TenantBytes(service, "a"), ScorerBytes(*fresh));
 
   const std::vector<linalg::Matrix> stream_a = TenantStream(0, 4);
   const std::vector<linalg::Matrix> stream_b = TenantStream(1, 4);
@@ -424,7 +428,8 @@ TEST(ValidatorServiceTest, EvictionAndRehydrationAreByteInvisible) {
   ASSERT_TRUE(replay_b.ok());
   for (const auto& batch : stream_a) ASSERT_TRUE(replay_a->Ingest(batch).ok());
   for (const auto& batch : stream_b) ASSERT_TRUE(replay_b->Ingest(batch).ok());
-  EXPECT_EQ(TenantBytes(service, "a"), ScorerBytes(*replay_a));
+  const std::string evicted_a = TenantBytes(service, "a");
+  EXPECT_EQ(evicted_a, ScorerBytes(*replay_a));
   EXPECT_EQ(TenantBytes(service, "b"), ScorerBytes(*replay_b));
 
   // EstimateScore rehydrates "a" and answers from the restored state.
@@ -434,6 +439,8 @@ TEST(ValidatorServiceTest, EvictionAndRehydrationAreByteInvisible) {
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(*estimate, *replayed);
   EXPECT_TRUE(service.GetTenantInfo("a")->resident);
+  // The bytes an evicted tenant stores are the bytes it saves when resident.
+  EXPECT_EQ(TenantBytes(service, "a"), evicted_a);
 }
 
 TEST(ValidatorServiceTest, ManyEvictionCyclesKeepCanonicalBytes) {

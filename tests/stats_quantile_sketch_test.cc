@@ -13,7 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
+#include <initializer_list>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -27,10 +31,22 @@
 namespace bbv::stats {
 namespace {
 
+/// A sketch's part of the bank's canonical bytes: its cells, packed.
 std::string SketchBytes(const QuantileSketch& sketch) {
-  std::ostringstream out;
-  BBV_CHECK(sketch.Save(out).ok());
-  return out.str();
+  common::BinaryWriter writer;
+  sketch.PackCells(writer);
+  return writer.bytes();
+}
+
+/// The sketch UnpackCells rebuilds from `sketch`'s packed cells.
+QuantileSketch Repacked(const QuantileSketch& sketch) {
+  const std::string bytes = SketchBytes(sketch);
+  common::BinaryReader reader(bytes);
+  auto unpacked =
+      QuantileSketch::UnpackCells(reader, sketch.options(), sketch.count());
+  BBV_CHECK(unpacked.ok()) << unpacked.status().ToString();
+  BBV_CHECK(reader.remaining() == 0);
+  return std::move(unpacked).value();
 }
 
 std::string BankBytes(const QuantileSketchBank& bank) {
@@ -172,67 +188,30 @@ TEST(QuantileSketchTest, MergeRejectsMismatchedGrids) {
   EXPECT_FALSE(c.Merge(d).ok());
 }
 
-TEST(QuantileSketchTest, SaveLoadRoundTripsCanonically) {
+TEST(QuantileSketchTest, PackedCellsRoundTripCanonically) {
   common::Rng rng(21);
   QuantileSketch sketch;
   for (int i = 0; i < 1000; ++i) sketch.Add(rng.Uniform());
-  const std::string bytes = SketchBytes(sketch);
-  std::istringstream in(bytes);
-  const auto loaded = QuantileSketch::Load(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->count(), sketch.count());
-  EXPECT_EQ(SketchBytes(*loaded), bytes);
+  const QuantileSketch unpacked = Repacked(sketch);
+  EXPECT_EQ(unpacked.count(), sketch.count());
+  EXPECT_EQ(unpacked.cell_counts(), sketch.cell_counts());
+  EXPECT_EQ(SketchBytes(unpacked), SketchBytes(sketch));
 }
 
-TEST(QuantileSketchTest, LoadRejectsCorruptStreams) {
+TEST(QuantileSketchTest, UnpackRejectsCorruptCells) {
   QuantileSketch sketch;
   sketch.Add(0.5);
   std::string bytes = SketchBytes(sketch);
-  // Truncated stream.
-  std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(QuantileSketch::Load(truncated).ok());
-  // Flipped byte inside the payload (after the magic) must be caught by the
-  // total-vs-cells consistency check or a range check.
+  const auto unpack = [&](const std::string& packed) {
+    common::BinaryReader reader(packed);
+    return QuantileSketch::UnpackCells(reader, sketch.options(),
+                                       sketch.count());
+  };
+  EXPECT_TRUE(unpack(bytes).ok());
+  EXPECT_FALSE(unpack(bytes.substr(0, bytes.size() / 2)).ok());
+  // A cell weight that disagrees with the count.
   bytes[bytes.size() - 3] = static_cast<char>(0x7f);
-  std::istringstream corrupted(bytes);
-  EXPECT_FALSE(QuantileSketch::Load(corrupted).ok());
-}
-
-TEST(QuantileSketchTest, CdfMatchesEmpiricalFractions) {
-  QuantileSketch sketch;
-  for (int i = 0; i < 10; ++i) sketch.Add(0.1);
-  for (int i = 0; i < 30; ++i) sketch.Add(0.6);
-  EXPECT_NEAR(sketch.Cdf(0.05), 0.0, 1e-12);
-  EXPECT_NEAR(sketch.Cdf(0.1), 0.25, 1e-12);
-  EXPECT_NEAR(sketch.Cdf(0.3), 0.25, 1e-12);
-  EXPECT_NEAR(sketch.Cdf(0.6), 1.0, 1e-12);
-  EXPECT_NEAR(sketch.Cdf(1.0), 1.0, 1e-12);
-}
-
-TEST(QuantileSketchTest, KsStatisticSeparatesShiftedDistributions) {
-  common::Rng rng(22);
-  QuantileSketch low;
-  QuantileSketch high;
-  QuantileSketch low_copy;
-  for (int i = 0; i < 2000; ++i) {
-    const double u = rng.Uniform();
-    low.Add(u * 0.4);
-    low_copy.Add(u * 0.4);
-    high.Add(0.6 + u * 0.4);
-  }
-  const auto identical = KsStatistic(low, low_copy);
-  ASSERT_TRUE(identical.ok());
-  EXPECT_NEAR(*identical, 0.0, 1e-12);
-  const auto disjoint = KsStatistic(low, high);
-  ASSERT_TRUE(disjoint.ok());
-  EXPECT_NEAR(*disjoint, 1.0, 1e-12);
-  QuantileSketch::Options coarse;
-  coarse.resolution_bits = 4;
-  QuantileSketch other_grid(coarse);
-  other_grid.Add(0.5);
-  EXPECT_FALSE(KsStatistic(low, other_grid).ok());
-  QuantileSketch empty;
-  EXPECT_FALSE(KsStatistic(low, empty).ok());
+  EXPECT_FALSE(unpack(bytes).ok());
 }
 
 /// Sets BBV_THREADS for one scope and restores the previous value after.
@@ -292,10 +271,49 @@ TEST(QuantileSketchBankTest, RejectsEmptyAndMismatchedBatches) {
   common::Rng rng(24);
   QuantileSketchBank bank;
   EXPECT_FALSE(bank.Observe(linalg::Matrix()).ok());
+  // Rows without columns would leave a bank whose Save bytes Load rejects.
+  EXPECT_EQ(bank.Observe(linalg::Matrix(5, 0)).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(bank.rows_observed(), 0u);
+  EXPECT_EQ(bank.num_columns(), 0u);
   ASSERT_TRUE(bank.Observe(RandomProbabilities(10, 3, rng)).ok());
   EXPECT_FALSE(bank.Observe(RandomProbabilities(10, 2, rng)).ok());
+  EXPECT_FALSE(bank.Observe(linalg::Matrix(5, 0)).ok());
   EXPECT_EQ(bank.rows_observed(), 10u);
   EXPECT_EQ(bank.num_columns(), 3u);
+  std::istringstream in(BankBytes(bank));
+  EXPECT_TRUE(QuantileSketchBank::Load(in).ok());
+}
+
+TEST(QuantileSketchBankTest, NonFiniteBatchIsRejectedWithoutATrace) {
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreadsEnv env(threads);
+    common::Rng rng(24);
+    QuantileSketchBank fresh;
+    QuantileSketchBank bank;
+    ASSERT_TRUE(bank.Observe(RandomProbabilities(40, 3, rng)).ok());
+    const std::string fresh_bytes = BankBytes(fresh);
+    const std::string bytes = BankBytes(bank);
+    for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()}) {
+      // First, middle and last entry: a column task may already have run
+      // on the other columns when a late entry is reached.
+      for (const auto& [row, column] :
+           {std::pair<size_t, size_t>{0, 0}, {7, 1}, {29, 2}}) {
+        linalg::Matrix batch = RandomProbabilities(30, 3, rng);
+        batch.At(row, column) = poison;
+        CellBatch cells;
+        EXPECT_EQ(bank.Observe(batch, &cells).code(),
+                  common::StatusCode::kInvalidArgument);
+        EXPECT_EQ(BankBytes(bank), bytes) << "threads " << threads;
+        EXPECT_FALSE(fresh.Observe(batch).ok());
+        EXPECT_EQ(BankBytes(fresh), fresh_bytes) << "threads " << threads;
+        EXPECT_EQ(fresh.num_columns(), 0u);
+        EXPECT_FALSE(CellBatch::Of(batch, bank.options()).ok());
+      }
+    }
+  }
 }
 
 TEST(QuantileSketchBankTest, BytesIdenticalAcrossSplitsAndThreadCounts) {
@@ -364,43 +382,41 @@ TEST(QuantileSketchBankTest, SaveLoadRoundTrips) {
   EXPECT_EQ(BankBytes(*loaded), bytes);
 }
 
+/// Bank bytes by hand: a header on a `bits` grid over [0, 1], then `body`
+/// as given (the columns' packed cells).
+std::string HandBuiltBank(int32_t bits, uint64_t rows, uint64_t columns,
+                          const std::string& body, uint32_t version = 2) {
+  common::BinaryWriter writer;
+  writer.WriteMagic("BBVQB", version);
+  writer.WriteInt32(bits);
+  writer.WriteDouble(0.0);
+  writer.WriteDouble(1.0);
+  writer.WriteVarUint64(rows);
+  writer.WriteVarUint64(columns);
+  return writer.bytes() + body;
+}
+
+common::Result<QuantileSketchBank> LoadBytes(const std::string& bytes) {
+  common::BinaryReader reader(bytes);
+  return QuantileSketchBank::Load(reader);
+}
+
 TEST(QuantileSketchBankTest, LoadRejectsInconsistentRowCounts) {
-  // Hand-built stream with a structurally valid header whose claimed row
-  // count disagrees with the member sketches. Such bytes used to pass Load
-  // and then crash the process inside PercentileFeatures' consistency
-  // BBV_CHECK; untrusted state must be rejected at the Load boundary.
-  const QuantileSketch::Options options;
-  const auto bank_header = [&](common::BinaryWriter& writer, uint64_t rows,
-                               uint64_t sketches) {
-    writer.WriteMagic("BBVQB", 1);
-    writer.WriteInt32(options.resolution_bits);
-    writer.WriteDouble(options.lo);
-    writer.WriteDouble(options.hi);
-    writer.WriteUint64(rows);
-    writer.WriteUint64(sketches);
-  };
-
-  // Claims 5 observed rows over one sketch that has counted none.
-  common::BinaryWriter empty_sketch;
-  bank_header(empty_sketch, 5, 1);
-  ASSERT_TRUE(QuantileSketch(options).Save(empty_sketch).ok());
-  common::BinaryReader in_empty(empty_sketch.bytes());
-  EXPECT_FALSE(QuantileSketchBank::Load(in_empty).ok());
-
-  // Claims observed rows with no columns at all.
-  common::BinaryWriter no_columns;
-  bank_header(no_columns, 5, 0);
-  common::BinaryReader in_no_columns(no_columns.bytes());
-  EXPECT_FALSE(QuantileSketchBank::Load(in_no_columns).ok());
-
-  // Sanity: the same construction with a consistent count loads fine.
-  common::BinaryWriter consistent;
-  bank_header(consistent, 3, 1);
-  QuantileSketch sketch(options);
-  for (double v : {0.1, 0.5, 0.9}) sketch.Add(v);
-  ASSERT_TRUE(sketch.Save(consistent).ok());
-  common::BinaryReader in_consistent(consistent.bytes());
-  EXPECT_TRUE(QuantileSketchBank::Load(in_consistent).ok());
+  // A header whose row count disagrees with the columns' cells would pass
+  // into PercentileFeatures and abort the process there; untrusted state
+  // must be rejected at the Load boundary. On a 1-bit grid a column
+  // is one block of three cells: header byte (gap 1, width code 0) = 4.
+  const std::string column = std::string("\x04\x01\x01\x01\x00", 5);
+  // 5 rows over a column holding 3, and over an empty column.
+  EXPECT_FALSE(LoadBytes(HandBuiltBank(1, 5, 1, column)).ok());
+  EXPECT_FALSE(LoadBytes(HandBuiltBank(1, 5, 1, std::string(1, '\0'))).ok());
+  // Observed rows with no columns at all.
+  EXPECT_FALSE(LoadBytes(HandBuiltBank(1, 5, 0, "")).ok());
+  // The same construction with a consistent count loads and saves back.
+  const std::string consistent = HandBuiltBank(1, 3, 1, column);
+  const auto loaded = LoadBytes(consistent);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(BankBytes(*loaded), consistent);
 }
 
 TEST(QuantileSketchBankTest, MemoryIsIndependentOfRowCount) {
@@ -410,6 +426,11 @@ TEST(QuantileSketchBankTest, MemoryIsIndependentOfRowCount) {
   QuantileSketchBank large;
   ASSERT_TRUE(large.Observe(RandomProbabilities(20000, 2, rng)).ok());
   EXPECT_EQ(small.MemoryBytes(), large.MemoryBytes());
+}
+
+CellBatch MapCells(const linalg::Matrix& values,
+                   const QuantileSketch::Options& grid) {
+  return CellBatch::Of(values, grid).ValueOrDie();
 }
 
 std::vector<uint64_t> FeatureBits(const QuantileSketchBank& bank) {
@@ -448,7 +469,7 @@ TEST(QuantileSketchWindowTest, RunningWindowEqualsMergedBanks) {
           // observing and the standalone CellBatch::Of.
           CellBatch cells;
           ASSERT_TRUE(cumulative.Observe(values, &cells).ok());
-          const CellBatch mapped = CellBatch::Of(values, grid);
+          const CellBatch mapped = MapCells(values, grid);
           ASSERT_EQ(cells.cells, mapped.cells);
           ASSERT_EQ(cells.columns, mapped.columns);
           ASSERT_TRUE(window.Push(b % 2 == 0 ? cells : mapped).ok());
@@ -478,14 +499,14 @@ TEST(QuantileSketchWindowTest, UndoRestoresTheWindowExactly) {
     const std::string before = BankBytes(window.bank());
     const size_t batches = window.batches();
     const auto evicted =
-        window.Push(CellBatch::Of(RandomProbabilities(50, 2, rng), grid));
+        window.Push(MapCells(RandomProbabilities(50, 2, rng), grid));
     ASSERT_TRUE(evicted.ok());
     EXPECT_EQ(evicted->empty(), b < 2);
     window.Undo(*evicted);
     EXPECT_EQ(BankBytes(window.bank()), before);
     EXPECT_EQ(window.batches(), batches);
     ASSERT_TRUE(
-        window.Push(CellBatch::Of(RandomProbabilities(40, 2, rng), grid))
+        window.Push(MapCells(RandomProbabilities(40, 2, rng), grid))
             .ok());
   }
 }
@@ -507,8 +528,8 @@ TEST(QuantileSketchWindowTest, RejectsUnderflowAndMismatchWithStatus) {
 
   // Bank level: removing a batch that was never added, or from an empty
   // bank, fails and leaves the bank as it was.
-  const CellBatch held = CellBatch::Of(RandomProbabilities(30, 2, rng), grid);
-  const CellBatch other = CellBatch::Of(RandomProbabilities(30, 2, rng), grid);
+  const CellBatch held = MapCells(RandomProbabilities(30, 2, rng), grid);
+  const CellBatch other = MapCells(RandomProbabilities(30, 2, rng), grid);
   QuantileSketchBank empty(0, grid);
   EXPECT_FALSE(empty.RemoveCells(held).ok());
   QuantileSketchBank bank(0, grid);
@@ -534,8 +555,8 @@ TEST(QuantileSketchWindowTest, RejectsUnderflowAndMismatchWithStatus) {
            window.batches() == 1;
   };
   EXPECT_TRUE(
-      rejected(CellBatch::Of(RandomProbabilities(30, 2, rng), coarse)));
-  EXPECT_TRUE(rejected(CellBatch::Of(RandomProbabilities(30, 3, rng), grid)));
+      rejected(MapCells(RandomProbabilities(30, 2, rng), coarse)));
+  EXPECT_TRUE(rejected(MapCells(RandomProbabilities(30, 3, rng), grid)));
   CellBatch ragged = held;
   ragged.cells.pop_back();
   EXPECT_TRUE(rejected(ragged));
@@ -601,16 +622,6 @@ void ExpectQueriesMatchFullScan(const QuantileSketch& sketch) {
     EXPECT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
         << "q=" << qs[i] << " got " << got[i] << " want " << want[i];
   }
-  for (const double x : {-0.5, 0.0, 0.013, 0.25, 0.5, 0.74, 0.999, 1.0, 2.0}) {
-    uint64_t below = 0;
-    if (x >= sketch.options().lo) {
-      const size_t limit = QuantileSketch::CellIndex(x, sketch.options());
-      for (size_t cell = 0; cell <= limit; ++cell) below += cells[cell];
-    }
-    EXPECT_EQ(sketch.Cdf(x),
-              static_cast<double>(below) / static_cast<double>(sketch.count()))
-        << "x=" << x;
-  }
 }
 
 TEST(QuantileSketchTest, BlockIndexAnswersEqualAFullScan) {
@@ -638,10 +649,7 @@ TEST(QuantileSketchTest, BlockIndexAnswersEqualAFullScan) {
       cells.resize(cells.size() / 2);
       ASSERT_TRUE(sketch.RemoveCells(cells).ok());
       ExpectQueriesMatchFullScan(sketch);
-      std::istringstream in(SketchBytes(sketch));
-      const auto loaded = QuantileSketch::Load(in);
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      ExpectQueriesMatchFullScan(*loaded);
+      ExpectQueriesMatchFullScan(Repacked(sketch));
     }
     // A rejected RemoveCells leaves the index consistent too.
     const std::vector<uint32_t> too_many(sketch.count() + 1, 0);
@@ -650,78 +658,80 @@ TEST(QuantileSketchTest, BlockIndexAnswersEqualAFullScan) {
   }
 }
 
-/// Sketch bytes with hand-picked (cell, weight) entries on the default grid.
-std::string HandBuiltSketch(uint64_t total,
-                            const std::vector<std::pair<uint64_t, uint64_t>>&
-                                entries) {
-  const QuantileSketch::Options grid;
-  common::BinaryWriter writer;
-  writer.WriteMagic("BBVQS", 1);
-  writer.WriteInt32(grid.resolution_bits);
-  writer.WriteDouble(grid.lo);
-  writer.WriteDouble(grid.hi);
-  writer.WriteUint64(total);
-  writer.WriteUint64(entries.size());
-  for (const auto& [cell, weight] : entries) {
-    writer.WriteUint64(cell);
-    writer.WriteUint64(weight);
-  }
-  return writer.bytes();
-}
-
-TEST(QuantileSketchTest, LoadRejectsDuplicateAndUnorderedCells) {
-  const auto load = [](const std::string& bytes) {
-    common::BinaryReader reader(bytes);
-    return QuantileSketch::Load(reader);
-  };
-  // The same cell twice: its weight would count once in the cells and
-  // twice in the total.
-  const auto duplicate = load(HandBuiltSketch(6, {{5, 3}, {5, 3}}));
-  EXPECT_EQ(duplicate.status().code(), common::StatusCode::kInvalidArgument);
-  // Descending cells: a Save of the loaded sketch would reorder the bytes.
-  const auto descending = load(HandBuiltSketch(6, {{9, 3}, {5, 3}}));
-  EXPECT_EQ(descending.status().code(), common::StatusCode::kInvalidArgument);
-  // Weights whose sum wraps around to the stored total.
-  const auto wrapping =
-      load(HandBuiltSketch(2, {{1, uint64_t{1} << 63}, {2, uint64_t{1} << 63},
-                               {3, 2}}));
-  EXPECT_EQ(wrapping.status().code(), common::StatusCode::kInvalidArgument);
-  // The ascending form loads, answers and saves back to the same bytes.
-  const std::string ascending = HandBuiltSketch(6, {{5, 3}, {9, 3}});
-  const auto loaded = load(ascending);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->count(), 6u);
-  EXPECT_EQ(loaded->num_nonzero_cells(), 2u);
-  ExpectQueriesMatchFullScan(*loaded);
-  EXPECT_EQ(SketchBytes(*loaded), ascending);
-}
-
 TEST(QuantileSketchBankTest, LoadRejectsOversizedHeaderBeforeAllocating) {
-  // A 45-byte header claiming 1024 columns at 24 bits (128 GiB of dense
-  // cells) and no sketch bytes. Load used to allocate every column first.
-  const auto header = [](int32_t bits, uint64_t columns) {
-    common::BinaryWriter writer;
-    writer.WriteMagic("BBVQB", 1);
-    writer.WriteInt32(bits);
-    writer.WriteDouble(0.0);
-    writer.WriteDouble(1.0);
-    writer.WriteUint64(10);
-    writer.WriteUint64(columns);
-    return writer.bytes();
-  };
-  const std::string huge = header(24, 1024);
-  ASSERT_EQ(huge.size(), 45u);
-  common::BinaryReader huge_reader(huge);
-  EXPECT_EQ(QuantileSketchBank::Load(huge_reader).status().code(),
+  // A 32-byte header claiming 1024 columns at 24 bits (128 GiB of dense
+  // cells) and no column bytes, rejected before any column is allocated.
+  const std::string huge = HandBuiltBank(24, 10, 1024, "");
+  ASSERT_EQ(huge.size(), 32u);
+  EXPECT_EQ(LoadBytes(huge).status().code(),
             common::StatusCode::kInvalidArgument);
-  // Within the cap, the missing sketch bytes are a truncation.
-  const std::string small = header(12, 4);
-  common::BinaryReader small_reader(small);
-  EXPECT_FALSE(QuantileSketchBank::Load(small_reader).ok());
-  // The cap sits where the header says: 7 columns at 24 bits fit, 8 do not.
+  // The cap sits where the header says: 7 columns at 24 bits fit, 8 do not,
+  // and 8 are rejected by the cap, not as the truncation they also are.
   EXPECT_EQ(QuantileSketchBank::kMaxLoadedStateBytes /
                 (((uint64_t{1} << 24) + 1) * sizeof(uint64_t)),
             7u);
+  EXPECT_EQ(LoadBytes(HandBuiltBank(24, 10, 8, "")).status().code(),
+            common::StatusCode::kInvalidArgument);
+  // Within the cap, the missing column bytes are a truncation.
+  EXPECT_EQ(LoadBytes(HandBuiltBank(12, 10, 4, "")).status().code(),
+            common::StatusCode::kIoError);
+}
+
+TEST(QuantileSketchBankTest, LoadAcceptsOnlyTheBytesSaveWrites) {
+  // One column on a 1-bit grid: a single block of three cells. Header byte
+  // = gap << 2 | width code, so 4 is the first block at one byte a cell.
+  const auto bytes_of = [](std::initializer_list<int> bytes) {
+    std::string out;
+    for (const int byte : bytes) out.push_back(static_cast<char>(byte));
+    return out;
+  };
+  const std::string valid = HandBuiltBank(1, 5, 1, bytes_of({4, 2, 0, 3, 0}));
+  const auto loaded = LoadBytes(valid);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(BankBytes(*loaded), valid);
+  const size_t rows_at = valid.size() - 7;  // rows, columns, 5 column bytes
+  ASSERT_EQ(valid[rows_at], 5);
+
+  const auto rejected = [](const std::string& bytes) {
+    return !LoadBytes(bytes).ok();
+  };
+  // A version-1 stream gets a plain Status.
+  EXPECT_EQ(LoadBytes(HandBuiltBank(1, 5, 1, bytes_of({4, 2, 0, 3, 0}), 1))
+                .status()
+                .code(),
+            common::StatusCode::kInvalidArgument);
+  // An empty block: its cells add up to the (zero) rows, but Save never
+  // writes it.
+  EXPECT_TRUE(rejected(HandBuiltBank(1, 0, 1, bytes_of({4, 0, 0, 0, 0}))));
+  // Two bytes a cell where one holds the largest weight.
+  EXPECT_TRUE(
+      rejected(HandBuiltBank(1, 5, 1, bytes_of({5, 2, 0, 0, 0, 3, 0, 0}))));
+  // Over-long varints: the rows as 0x85 0x00, the terminator as 0x80 0x00.
+  std::string padded_rows = valid;
+  padded_rows.replace(rows_at, 1, bytes_of({0x85, 0x00}));
+  EXPECT_TRUE(rejected(padded_rows));
+  std::string padded_end = valid;
+  padded_end.replace(valid.size() - 1, 1, bytes_of({0x80, 0x00}));
+  EXPECT_TRUE(rejected(padded_end));
+  // Cells over the rows (LoadRejectsInconsistentRowCounts has them short).
+  EXPECT_TRUE(rejected(HandBuiltBank(1, 5, 1, bytes_of({4, 2, 0, 4, 0}))));
+  // Weights whose sum wraps around to the rows.
+  std::string wrapping = bytes_of({7});
+  for (const uint64_t weight : {uint64_t{1} << 63, uint64_t{1} << 63,
+                                uint64_t{2}}) {
+    wrapping.append(reinterpret_cast<const char*>(&weight), sizeof(weight));
+  }
+  wrapping.push_back(0);
+  EXPECT_TRUE(rejected(HandBuiltBank(1, 2, 1, wrapping)));
+  // A gap past the grid, and the same block twice (gap 0).
+  EXPECT_TRUE(rejected(HandBuiltBank(1, 5, 1, bytes_of({8, 2, 0, 3, 0}))));
+  EXPECT_TRUE(rejected(
+      HandBuiltBank(1, 5, 1, bytes_of({4, 2, 0, 2, 1, 0, 0, 1, 0}))));
+  // An empty domain: lo raised to hi.
+  std::string reversed = valid;
+  const double one = 1.0;
+  std::memcpy(reversed.data() + 13, &one, sizeof(one));
+  EXPECT_TRUE(rejected(reversed));
 }
 
 QuantileSketchBank FilledBank(common::Rng& rng, size_t rows, size_t columns) {
@@ -730,101 +740,148 @@ QuantileSketchBank FilledBank(common::Rng& rng, size_t rows, size_t columns) {
   return bank;
 }
 
-TEST(SketchArchiveTest, EveryTruncationIsRejected) {
-  common::Rng rng(43);
-  QuantileSketch sketch;
-  for (int i = 0; i < 120; ++i) sketch.Add(rng.Uniform());
-  const std::string sketch_bytes = SketchBytes(sketch);
-  const std::string bank_bytes = BankBytes(FilledBank(rng, 60, 2));
-  for (size_t size = 0; size < sketch_bytes.size(); ++size) {
-    common::BinaryReader reader(
-        std::span<const char>(sketch_bytes.data(), size));
-    EXPECT_FALSE(QuantileSketch::Load(reader).ok()) << "prefix " << size;
+/// Saved banks covering the format's corners: no columns, one row, a dense
+/// 20,000 x 3 bank, cells in the first and the last (one-cell) block of the
+/// default grid, and a 1-bit grid.
+std::vector<QuantileSketchBank> CornerBanks() {
+  common::Rng rng(45);
+  const QuantileSketch::Options grid;
+  std::vector<QuantileSketchBank> banks;
+  banks.emplace_back(0, grid);
+  banks.push_back(FilledBank(rng, 1, 2));
+  banks.push_back(FilledBank(rng, 20000, 3));
+  QuantileSketchBank edges(0, grid);
+  BBV_CHECK(edges.AddCells(CellBatch{grid, 1, {0, 64, 64, 4096}}).ok());
+  banks.push_back(edges);
+  QuantileSketch::Options one_bit;
+  one_bit.resolution_bits = 1;
+  QuantileSketchBank coarse(0, one_bit);
+  BBV_CHECK(coarse.Observe(RandomProbabilities(50, 2, rng)).ok());
+  banks.push_back(coarse);
+  return banks;
+}
+
+/// Load either rejects `bytes` or consumes a prefix of them that the
+/// loaded bank saves back to exactly, and every column of that bank counts
+/// the bank's rows. The prefix is all of `bytes` unless the change lowered
+/// the column count, which leaves the last columns' bytes unread, as for
+/// objects saved back to back.
+::testing::AssertionResult LoadsCanonicallyOrFails(const std::string& bytes) {
+  common::BinaryReader reader(bytes);
+  const auto loaded = QuantileSketchBank::Load(reader);
+  if (!loaded.ok()) return ::testing::AssertionSuccess();
+  for (size_t k = 0; k < loaded->num_columns(); ++k) {
+    const std::vector<uint64_t>& cells = loaded->sketch(k).cell_counts();
+    const uint64_t held = std::accumulate(cells.begin(), cells.end(),
+                                          uint64_t{0});
+    if (held != loaded->rows_observed() ||
+        loaded->sketch(k).count() != held) {
+      return ::testing::AssertionFailure()
+             << "column " << k << " holds " << held << " of "
+             << loaded->rows_observed() << " rows";
+    }
   }
-  for (size_t size = 0; size < bank_bytes.size(); ++size) {
-    common::BinaryReader reader(std::span<const char>(bank_bytes.data(), size));
-    EXPECT_FALSE(QuantileSketchBank::Load(reader).ok()) << "prefix " << size;
+  if (BankBytes(*loaded) == bytes.substr(0, reader.position())) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "loaded bytes save back differently after " << reader.position()
+         << " of " << bytes.size() << " bytes";
+}
+
+TEST(SketchArchiveTest, EveryTruncationIsRejected) {
+  for (const QuantileSketchBank& bank : CornerBanks()) {
+    const std::string bytes = BankBytes(bank);
+    for (size_t size = 0; size < bytes.size(); ++size) {
+      common::BinaryReader reader(std::span<const char>(bytes.data(), size));
+      EXPECT_FALSE(QuantileSketchBank::Load(reader).ok()) << "prefix " << size;
+    }
+  }
+}
+
+TEST(SketchArchiveTest, EverySingleByteChangeFailsOrSavesBack) {
+  for (const QuantileSketchBank& bank : CornerBanks()) {
+    const std::string bytes = BankBytes(bank);
+    ASSERT_TRUE(LoadsCanonicallyOrFails(bytes));
+    // Every value at every position, except on the dense bank, where every
+    // position gets the changes that move one bit, a whole byte or a
+    // varint's continuation bit (12,000 positions x 255 values would take
+    // minutes under the sanitizers).
+    const bool dense = bytes.size() > 4096;
+    for (size_t at = 0; at < bytes.size(); ++at) {
+      std::string mutated = bytes;
+      for (int change = 1; change < 256; ++change) {
+        if (dense && change != 0x01 && change != 0x02 && change != 0x80 &&
+            change != 0xFF) {
+          continue;
+        }
+        mutated[at] = static_cast<char>(bytes[at] ^ change);
+        EXPECT_TRUE(LoadsCanonicallyOrFails(mutated))
+            << "byte " << at << " xor " << change;
+      }
+    }
   }
 }
 
 TEST(SketchArchiveTest, ObjectsSavedBackToBackLoadInOrder) {
   common::Rng rng(44);
-  QuantileSketch sketch;
-  for (int i = 0; i < 50; ++i) sketch.Add(rng.Uniform());
+  const QuantileSketchBank small = FilledBank(rng, 12, 2);
   const QuantileSketchBank bank = FilledBank(rng, 40, 3);
   std::stringstream stream;
-  ASSERT_TRUE(sketch.Save(stream).ok());
+  ASSERT_TRUE(small.Save(stream).ok());
   ASSERT_TRUE(bank.Save(stream).ok());
-  ASSERT_TRUE(sketch.Save(stream).ok());
-  const auto sketch_size =
-      static_cast<std::streamoff>(SketchBytes(sketch).size());
+  ASSERT_TRUE(small.Save(stream).ok());
+  const auto small_size = static_cast<std::streamoff>(BankBytes(small).size());
   const auto bank_size = static_cast<std::streamoff>(BankBytes(bank).size());
 
-  const auto first = QuantileSketch::Load(stream);
+  const auto first = QuantileSketchBank::Load(stream);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(stream.tellg(), sketch_size);
+  EXPECT_EQ(stream.tellg(), small_size);
   const auto second = QuantileSketchBank::Load(stream);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(stream.tellg(), sketch_size + bank_size);
-  const auto third = QuantileSketch::Load(stream);
+  EXPECT_EQ(stream.tellg(), small_size + bank_size);
+  const auto third = QuantileSketchBank::Load(stream);
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   EXPECT_EQ(stream.peek(), std::char_traits<char>::eof());
-  EXPECT_EQ(SketchBytes(*first), SketchBytes(sketch));
+  EXPECT_EQ(BankBytes(*first), BankBytes(small));
   EXPECT_EQ(BankBytes(*second), BankBytes(bank));
-  EXPECT_EQ(SketchBytes(*third), SketchBytes(sketch));
+  EXPECT_EQ(BankBytes(*third), BankBytes(small));
   // Nothing is left for a fourth object.
-  EXPECT_FALSE(QuantileSketch::Load(stream).ok());
+  EXPECT_FALSE(QuantileSketchBank::Load(stream).ok());
 }
 
-TEST(QuantileSketchBankTest, PackRestoresTheSavedBytes) {
-  common::Rng rng(45);
-  QuantileSketch::Options grid;
-  std::vector<QuantileSketchBank> banks;
-  banks.emplace_back(0, grid);
-  banks.push_back(FilledBank(rng, 1, 2));
-  banks.push_back(FilledBank(rng, 20000, 3));
-  // Cells in the first and the last (one-cell) block.
-  QuantileSketchBank edges(0, grid);
-  CellBatch batch;
-  batch.grid = grid;
-  batch.columns = 1;
-  batch.cells = {0, 64, 64, 4096};
-  ASSERT_TRUE(edges.AddCells(batch).ok());
-  banks.push_back(edges);
+TEST(QuantileSketchBankTest, LoadRestoresTheSavedCells) {
+  const std::vector<QuantileSketchBank> banks = CornerBanks();
   for (const QuantileSketchBank& bank : banks) {
-    common::BinaryWriter packed;
-    bank.Pack(packed);
-    common::BinaryReader reader(packed.bytes());
-    const auto unpacked = QuantileSketchBank::Unpack(reader, grid);
-    ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
+    const std::string bytes = BankBytes(bank);
+    common::BinaryReader reader(bytes);
+    const auto loaded = QuantileSketchBank::Load(reader);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(reader.remaining(), 0u);
-    EXPECT_EQ(BankBytes(*unpacked), BankBytes(bank));
-    for (size_t size = 0; size < packed.size(); ++size) {
-      common::BinaryReader prefix(
-          std::span<const char>(packed.bytes().data(), size));
-      EXPECT_FALSE(QuantileSketchBank::Unpack(prefix, grid).ok())
-          << "prefix " << size;
+    EXPECT_EQ(BankBytes(*loaded), bytes);
+    EXPECT_EQ(loaded->rows_observed(), bank.rows_observed());
+    for (size_t k = 0; k < bank.num_columns(); ++k) {
+      EXPECT_EQ(loaded->sketch(k).cell_counts(), bank.sketch(k).cell_counts());
     }
   }
-  // A dense bank packs to one byte a cell or less, where Save spends 16 a
-  // non-empty cell.
-  common::BinaryWriter dense;
-  banks[2].Pack(dense);
-  EXPECT_LT(dense.size() * 8, BankBytes(banks[2]).size());
+  // A dense bank saves one byte a cell, plus a header byte a block.
+  const QuantileSketchBank& dense = banks[2];
+  const size_t cells = dense.sketch(0).cell_counts().size();
+  const size_t blocks = (cells + QuantileSketch::kBlockCells - 1) /
+                        QuantileSketch::kBlockCells;
+  EXPECT_LE(BankBytes(dense).size(),
+            29 + 3 + 1 + dense.num_columns() * (cells + blocks + 1));
 
   // Weights that need every packed width: 1, 2, 4 and 8 bytes.
+  const QuantileSketch::Options grid;
   QuantileSketch heavy(grid);
   heavy.Add(0.5, uint64_t{1} << 40);
   heavy.Add(0.25, 70000);
   heavy.Add(0.75, 300);
-  common::BinaryWriter packed;
-  heavy.PackCells(packed);
-  common::BinaryReader reader(packed.bytes());
-  const auto unpacked =
-      QuantileSketch::UnpackCells(reader, grid, heavy.count());
-  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
-  EXPECT_EQ(SketchBytes(*unpacked), SketchBytes(heavy));
-  common::BinaryReader short_count(packed.bytes());
+  heavy.Add(0.125, 7);
+  EXPECT_EQ(SketchBytes(Repacked(heavy)), SketchBytes(heavy));
+  const std::string packed = SketchBytes(heavy);
+  common::BinaryReader short_count(packed);
   EXPECT_FALSE(
       QuantileSketch::UnpackCells(short_count, grid, heavy.count() - 1).ok());
 }
