@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -261,17 +262,21 @@ void BM_RandomForestFit(benchmark::State& state) {
 BENCHMARK(BM_RandomForestFit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ForestFitMetaShape(benchmark::State& state) {
-  // The forest PerformancePredictor::Train fits six times per call (final
-  // model plus five calibration folds): default options, 100 trees, on
-  // about 405 percentile-feature rows x 58 columns. Runs at the ambient
-  // BBV_THREADS.
+/// The forest PerformancePredictor::Train fits six times per call (final
+/// model plus five calibration folds): default options, 100 trees, on about
+/// 405 percentile-feature rows x 58 columns. Values are uniform, or rounded
+/// to 1/32 when `ties` is set: percentile features repeat values, so fewer
+/// of the positions the split scan visits are value boundaries: about 6 in
+/// 10 uniform, 3 in 10 rounded, 4 in 10 over a train_income run. Runs at
+/// the ambient BBV_THREADS.
+void ForestFitMetaShape(benchmark::State& state, bool ties) {
   common::Rng data_rng(12);
   linalg::Matrix features(405, 58);
   std::vector<double> targets(features.rows());
   for (size_t i = 0; i < features.rows(); ++i) {
     for (size_t j = 0; j < features.cols(); ++j) {
-      features.At(i, j) = data_rng.Uniform();
+      const double value = data_rng.Uniform();
+      features.At(i, j) = ties ? std::round(value * 32.0) / 32.0 : value;
     }
     targets[i] = 0.5 * features.At(i, 0) + 0.3 * features.At(i, 7) +
                  data_rng.Gaussian(0.0, 0.05);
@@ -285,7 +290,16 @@ void BM_ForestFitMetaShape(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(features.rows()));
 }
+
+void BM_ForestFitMetaShape(benchmark::State& state) {
+  ForestFitMetaShape(state, /*ties=*/false);
+}
 BENCHMARK(BM_ForestFitMetaShape)->Unit(benchmark::kMillisecond);
+
+void BM_ForestFitMetaShapeTies(benchmark::State& state) {
+  ForestFitMetaShape(state, /*ties=*/true);
+}
+BENCHMARK(BM_ForestFitMetaShapeTies)->Unit(benchmark::kMillisecond);
 
 void BM_TelemetrySpanEnabled(benchmark::State& state) {
   // Cost of one TraceSpan + counter increment on the instrumented hot

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -36,6 +37,32 @@ struct SplitCandidate {
   double gain = 0.0;
 };
 
+/// Gain pass of the exact regression scan: the variance reduction of each
+/// cut (a cut after segment position i leaves i + 1 rows left) of a node
+/// of `count` rows, from the prefix sums at every position. Row counts are
+/// exact in a double, so converting the uint32 cut (not a size_t) gives
+/// the integers' bits and, with the restrict-qualified buffers, lets the
+/// divisions vectorize.
+void CutGains(const double* __restrict prefix_sum,
+              const double* __restrict prefix_sum_squares,
+              const uint32_t* __restrict cuts, size_t num_cuts, size_t count,
+              double sum, double sum_squares, double node_sse,
+              double* __restrict gains) {
+  const double n = static_cast<double>(count);
+  for (size_t j = 0; j < num_cuts; ++j) {
+    const uint32_t i = cuts[j];
+    const double nl = static_cast<double>(i) + 1.0;
+    const double nr = n - nl;
+    const double left_sum = prefix_sum[i];
+    const double left_sum_squares = prefix_sum_squares[i];
+    const double right_sum = sum - left_sum;
+    const double right_sum_squares = sum_squares - left_sum_squares;
+    const double left_sse = left_sum_squares - left_sum * left_sum / nl;
+    const double right_sse = right_sum_squares - right_sum * right_sum / nr;
+    gains[j] = node_sse - left_sse - right_sse;
+  }
+}
+
 }  // namespace
 
 /// Exact-search working set of one Fit, local to it and never kept in the
@@ -53,11 +80,75 @@ class SortedSegments {
       : size_(size),
         ids_(std::move(ids)),
         goes_left_(num_matrix_rows),
-        scratch_(size) {}
+        scratch_(size),
+        prefix_sum_(size),
+        prefix_sum_squares_(size),
+        cuts_(size),
+        gains_(size) {}
 
   /// The ids of `feature` from node position `begin` on.
   const uint32_t* Segment(size_t feature, size_t begin) const {
     return ids_.data() + feature * size_ + begin;
+  }
+
+  /// Exact regression split search of `feature` over the node at segment
+  /// positions [begin, begin + count), whose targets sum to `sum` and
+  /// `sum_squares` (squared error `node_sse`). A cut after position i lies
+  /// between two distinct values and leaves at least
+  /// max(min_samples_leaf, 1) rows on either side. Raises `best` to the
+  /// segment's highest-gain cut if it beats best.gain, the earliest one on
+  /// a tie, as a per-position scan comparing as it goes would.
+  ///
+  /// Whether a position is a value boundary is a coin flip the branch
+  /// predictor loses, so the first two of the three passes have no
+  /// data-dependent branch: a sweep that accumulates the prefix sums in
+  /// segment order (the bits a per-position scan has) and lists the
+  /// eligible cuts, a gain pass over that list, then the first strict
+  /// maximum.
+  void BestRegressionSplit(const linalg::Matrix& features,
+                           const std::vector<double>& targets, size_t feature,
+                           size_t begin, size_t count, double sum,
+                           double sum_squares, double node_sse,
+                           size_t min_samples_leaf, SplitCandidate& best) {
+    const uint32_t* ids = Segment(feature, begin);
+    double value = features.At(ids[0], feature);
+    if (!(value < features.At(ids[count - 1], feature))) return;  // constant
+    // A cut after position i leaves i + 1 rows left and count - i - 1
+    // right; Grow only scans nodes of at least 2 * min_samples_leaf rows.
+    const size_t lo = std::max<size_t>(min_samples_leaf, 1) - 1;
+    const size_t hi = count - min_samples_leaf;
+    double left_sum = 0.0;
+    double left_sum_squares = 0.0;
+    size_t num_cuts = 0;
+    for (size_t i = 0; i + 1 < count; ++i) {
+      const double target = targets[ids[i]];
+      left_sum += target;
+      left_sum_squares += target * target;
+      prefix_sum_[i] = left_sum;
+      prefix_sum_squares_[i] = left_sum_squares;
+      const double current = value;
+      value = features.At(ids[i + 1], feature);
+      cuts_[num_cuts] = static_cast<uint32_t>(i);
+      num_cuts += static_cast<size_t>((current != value) & (i >= lo) &
+                                      (i < hi));
+    }
+    CutGains(prefix_sum_.data(), prefix_sum_squares_.data(), cuts_.data(),
+             num_cuts, count, sum, sum_squares, node_sse, gains_.data());
+    size_t winner = num_cuts;
+    double top = best.gain;
+    for (size_t j = 0; j < num_cuts; ++j) {
+      if (gains_[j] > top) {
+        top = gains_[j];
+        winner = j;
+      }
+    }
+    if (winner == num_cuts) return;
+    const size_t i = cuts_[winner];
+    best.found = true;
+    best.feature = feature;
+    best.threshold = 0.5 * (features.At(ids[i], feature) +
+                            features.At(ids[i + 1], feature));
+    best.gain = top;
   }
 
   /// After rows[begin, end) was partitioned at `split`, stably partitions
@@ -90,6 +181,11 @@ class SortedSegments {
   std::vector<uint32_t> ids_;
   std::vector<uint8_t> goes_left_;
   std::vector<uint32_t> scratch_;
+  /// Scan buffers of BestRegressionSplit.
+  std::vector<double> prefix_sum_;
+  std::vector<double> prefix_sum_squares_;
+  std::vector<uint32_t> cuts_;
+  std::vector<double> gains_;
 };
 
 namespace {
@@ -148,6 +244,29 @@ void BestBinnedSplit(const FeatureBinning& binning,
 
 }  // namespace
 
+common::Status CheckFitOptions(const TreeOptions& tree, double row_fraction,
+                               double sample_rows) {
+  const auto valid = [](double fraction) {
+    return std::isfinite(fraction) && fraction >= 0.0;
+  };
+  if (!valid(tree.feature_fraction)) {
+    return common::Status::InvalidArgument(
+        "feature_fraction must be finite and non-negative");
+  }
+  if (!valid(row_fraction)) {
+    return common::Status::InvalidArgument(
+        "row sample fraction must be finite and non-negative");
+  }
+  // Below 2^32, so its floor is a valid uint32 count.
+  constexpr double kIdLimit =
+      static_cast<double>(std::numeric_limits<uint32_t>::max()) + 1.0;
+  if (!(sample_rows < kIdLimit)) {
+    return common::Status::InvalidArgument(
+        "sample size exceeds the uint32 row ids of the split search");
+  }
+  return common::Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // RegressionTree
 // ---------------------------------------------------------------------------
@@ -165,6 +284,8 @@ common::Status RegressionTree::Fit(const linalg::Matrix& features,
   if (rows.empty()) {
     return common::Status::InvalidArgument("cannot fit a tree on zero rows");
   }
+  BBV_RETURN_NOT_OK(
+      CheckFitOptions(options_, 1.0, static_cast<double>(rows.size())));
   for (size_t row : rows) {
     if (row >= features.rows()) {
       return common::Status::InvalidArgument("row id out of range");
@@ -248,40 +369,10 @@ int32_t RegressionTree::Grow(const linalg::Matrix& features,
     if (binning_ != nullptr) {
       BestBinnedSplit(*binning_, targets, rows, begin, end, feature, sum,
                       options_.min_samples_leaf, best);
-      continue;
-    }
-    const uint32_t* ids = segments_->Segment(feature, begin);
-    double value = features.At(ids[0], feature);
-    if (!(value < features.At(ids[count - 1], feature))) continue;  // constant
-    double left_sum = 0.0;
-    double left_sum_squares = 0.0;
-    for (size_t i = 0; i + 1 < count; ++i) {
-      const double target = targets[ids[i]];
-      left_sum += target;
-      left_sum_squares += target * target;
-      const double current = value;
-      value = features.At(ids[i + 1], feature);
-      if (current == value) continue;
-      const size_t left_count = i + 1;
-      const size_t right_count = count - left_count;
-      if (left_count < options_.min_samples_leaf ||
-          right_count < options_.min_samples_leaf) {
-        continue;
-      }
-      const double nl = static_cast<double>(left_count);
-      const double nr = static_cast<double>(right_count);
-      const double right_sum = sum - left_sum;
-      const double right_sum_squares = sum_squares - left_sum_squares;
-      const double left_sse = left_sum_squares - left_sum * left_sum / nl;
-      const double right_sse =
-          right_sum_squares - right_sum * right_sum / nr;
-      const double gain = node_sse - left_sse - right_sse;
-      if (gain > best.gain) {
-        best.found = true;
-        best.feature = feature;
-        best.threshold = 0.5 * (current + value);
-        best.gain = gain;
-      }
+    } else {
+      segments_->BestRegressionSplit(features, targets, feature, begin, count,
+                                     sum, sum_squares, node_sse,
+                                     options_.min_samples_leaf, best);
     }
   }
 
@@ -364,6 +455,8 @@ common::Status DecisionTreeClassifier::Fit(const linalg::Matrix& features,
   if (num_classes < 2) {
     return common::Status::InvalidArgument("need at least two classes");
   }
+  BBV_RETURN_NOT_OK(CheckFitOptions(options_, 1.0,
+                                    static_cast<double>(features.rows())));
   // Class counts are exact integers, so the order inside a (value, label)
   // tie cannot change them: the regression presort serves as is.
   const std::vector<double> label_keys(labels.begin(), labels.end());

@@ -39,6 +39,14 @@ struct TreeOptions {
   bool binned_split_search = false;
 };
 
+/// The option check every tree and ensemble Fit runs before it fits a
+/// tree. InvalidArgument when tree.feature_fraction or `row_fraction` (an
+/// ensemble's bootstrap or subsample fraction; 1.0 for a lone tree) is NaN,
+/// infinite or negative, or when `sample_rows`, the number of rows one
+/// tree fits on, does not fit the uint32 ids of the exact split search.
+common::Status CheckFitOptions(const TreeOptions& tree, double row_fraction,
+                               double sample_rows);
+
 /// CART regression tree (variance-reduction splits, mean leaves). Used as
 /// the weak learner inside the random-forest regressor and the
 /// gradient-boosted classifier.

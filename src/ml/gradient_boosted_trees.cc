@@ -22,8 +22,12 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
   if (num_classes < 2) {
     return common::Status::InvalidArgument("need at least two classes");
   }
-  num_classes_ = num_classes;
   const size_t n = features.rows();
+  // A subsample of 1 or more fits every row.
+  const double sample_fraction = std::min(options_.subsample, 1.0);
+  BBV_RETURN_NOT_OK(CheckFitOptions(options_.tree, options_.subsample,
+                                    sample_fraction * static_cast<double>(n)));
+  num_classes_ = num_classes;
   const auto m = static_cast<size_t>(num_classes);
 
   // Base score: log class priors (clipped away from zero counts).
@@ -43,8 +47,9 @@ common::Status GradientBoostedTrees::Fit(const linalg::Matrix& features,
 
   trees_.clear();
   trees_.reserve(static_cast<size_t>(options_.num_rounds) * m);
-  const size_t sample_size = std::max<size_t>(
-      2, static_cast<size_t>(options_.subsample * static_cast<double>(n)));
+  const size_t sample_size = std::min(
+      n, std::max<size_t>(2, static_cast<size_t>(sample_fraction *
+                                                 static_cast<double>(n))));
   // The binning depends only on the (round-invariant) feature matrix, so
   // one build up front serves every boosting round and class. The exact
   // search's order also depends on the targets, which change every round,

@@ -26,9 +26,12 @@ common::Status RandomForestRegressor::Fit(const linalg::Matrix& features,
     return common::Status::InvalidArgument("num_trees must be positive");
   }
   const size_t n = features.rows();
-  const size_t bootstrap_size = std::max<size_t>(
-      1, static_cast<size_t>(options_.bootstrap_fraction *
-                             static_cast<double>(n)));
+  const double bootstrap_rows =
+      std::floor(options_.bootstrap_fraction * static_cast<double>(n));
+  BBV_RETURN_NOT_OK(CheckFitOptions(options_.tree, options_.bootstrap_fraction,
+                                    bootstrap_rows));
+  const size_t bootstrap_size =
+      std::max<size_t>(1, static_cast<size_t>(bootstrap_rows));
   const size_t num_trees = static_cast<size_t>(options_.num_trees);
   common::telemetry::IncrementCounter("forest.fit.calls");
   common::telemetry::IncrementCounter("forest.trees_fitted", num_trees);
